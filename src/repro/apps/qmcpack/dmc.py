@@ -22,7 +22,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.apps.qmcpack.scalars import ScalarRow
-from repro.apps.qmcpack.wavefunction import HeliumWavefunction
+from repro.apps.qmcpack.wavefunction import HeliumWavefunction, row_norms
 
 ENERGY_CLAMP = 100.0    # |E_L| clamp guarding corrupted-restart pathologies
 WEIGHT_CLIP = (0.1, 10.0)
@@ -43,13 +43,19 @@ class PopulationCollapse(RuntimeError):
     """The walker population's weight died out (corrupted restarts)."""
 
 
-def _limited_force(wf: HeliumWavefunction, walkers: np.ndarray,
-                   tau: float) -> np.ndarray:
-    """Quantum force with the standard norm limiter for finite tau."""
-    force = wf.quantum_force(walkers)
-    n = len(walkers)
-    fmag = np.linalg.norm(force.reshape(n, -1), axis=1)[:, None, None]
+def _limited_force(grad: np.ndarray, tau: float) -> np.ndarray:
+    """Quantum force F = 2 grad ln psi with the standard norm limiter for
+    finite tau."""
+    force = 2.0 * grad
+    fmag = row_norms(force.reshape(len(force), -1))[:, None, None]
     return force / np.maximum(1.0, 0.5 * tau * fmag)
+
+
+def _log_green(to: np.ndarray, frm: np.ndarray, drift: np.ndarray,
+               tau: float) -> np.ndarray:
+    """ln of the drift-diffusion Green's function from *frm* to *to*."""
+    diff = to - frm - 0.5 * tau * drift
+    return -(diff * diff).sum(axis=(1, 2)) / (2.0 * tau)
 
 
 def _systematic_resample(weights: np.ndarray, n_out: int,
@@ -77,10 +83,10 @@ def run_dmc(wf: HeliumWavefunction, walkers: np.ndarray, params: DmcParams,
     tau = params.tau
     sqrt_tau = np.sqrt(tau)
     weights = np.ones(n, dtype=np.float64)
-    e_local = np.clip(wf.local_energy(walkers), -ENERGY_CLAMP, ENERGY_CLAMP)
+    log_psi, grad, e_local = wf.evaluate(walkers)
+    e_local = np.clip(e_local, -ENERGY_CLAMP, ENERGY_CLAMP)
     e_trial = float(np.average(e_local, weights=weights))
-    log_psi = wf.log_psi(walkers)
-    force = _limited_force(wf, walkers, tau)
+    force = _limited_force(grad, tau)
 
     rows: List[ScalarRow] = []
     step_count = 0
@@ -92,23 +98,23 @@ def run_dmc(wf: HeliumWavefunction, walkers: np.ndarray, params: DmcParams,
             step_count += 1
             proposal = (walkers + 0.5 * tau * force
                         + sqrt_tau * rng.standard_normal(walkers.shape))
-            log_psi_new = wf.log_psi(proposal)
-            force_new = _limited_force(wf, proposal, tau)
-
-            def log_green(to: np.ndarray, frm: np.ndarray,
-                          drift: np.ndarray) -> np.ndarray:
-                diff = to - frm - 0.5 * tau * drift
-                return -(diff * diff).sum(axis=(1, 2)) / (2.0 * tau)
+            log_psi_new, grad_new, e_prop = wf.evaluate(proposal)
+            force_new = _limited_force(grad_new, tau)
 
             log_ratio = (2.0 * (log_psi_new - log_psi)
-                         + log_green(walkers, proposal, force_new)
-                         - log_green(proposal, walkers, force))
+                         + _log_green(walkers, proposal, force_new, tau)
+                         - _log_green(proposal, walkers, force, tau))
             accept = np.log(rng.random(n)) < log_ratio
-            walkers[accept] = proposal[accept]
-            log_psi[accept] = log_psi_new[accept]
-            force[accept] = force_new[accept]
+            moved = accept[:, None, None]
+            np.copyto(walkers, proposal, where=moved)
+            np.copyto(log_psi, log_psi_new, where=accept)
+            np.copyto(force, force_new, where=moved)
 
-            e_new = np.clip(wf.local_energy(walkers), -ENERGY_CLAMP, ENERGY_CLAMP)
+            # Each row's energy is its own walker's: the carried value
+            # for a rejected move, the proposal's for an accepted one.
+            e_new = np.where(accept,
+                             np.clip(e_prop, -ENERGY_CLAMP, ENERGY_CLAMP),
+                             e_local)
             weights *= np.exp(-tau * (0.5 * (e_local + e_new) - e_trial))
             np.clip(weights, *WEIGHT_CLIP, out=weights)
             e_local = e_new
@@ -118,12 +124,14 @@ def run_dmc(wf: HeliumWavefunction, walkers: np.ndarray, params: DmcParams,
                 raise PopulationCollapse(
                     f"population weight collapsed to {total_weight:.3g}")
 
-            block_energy += float((weights * e_local).sum())
+            step_energy = float((weights * e_local).sum())
+            block_energy += step_energy
             block_energy_sq += float((weights * e_local ** 2).sum())
             block_weight += total_weight
 
-            # Trial-energy feedback keeps total weight near the target.
-            e_trial = (float(np.average(e_local, weights=weights))
+            # Trial-energy feedback keeps total weight near the target;
+            # the first term is the weighted average of e_local.
+            e_trial = (step_energy / total_weight
                        - params.feedback / tau * np.log(total_weight / n))
 
             if step_count % params.reconfigure_every == 0:

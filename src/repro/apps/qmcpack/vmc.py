@@ -37,7 +37,7 @@ def run_vmc(wf: HeliumWavefunction, params: VmcParams,
     """
     n = params.n_walkers
     walkers = rng.normal(scale=0.7, size=(n, 2, 3))
-    log_psi = wf.log_psi(walkers)
+    log_psi, _, e_local = wf.evaluate(walkers)
 
     rows: List[ScalarRow] = []
     for block in range(params.warmup_blocks + params.n_blocks):
@@ -45,12 +45,13 @@ def run_vmc(wf: HeliumWavefunction, params: VmcParams,
         for step in range(params.steps_per_block):
             proposal = walkers + rng.normal(scale=params.step_size,
                                             size=walkers.shape)
-            log_psi_new = wf.log_psi(proposal)
+            log_psi_new, _, e_prop = wf.evaluate(proposal)
             accept = (np.log(rng.random(n)) <
                       2.0 * (log_psi_new - log_psi))
-            walkers[accept] = proposal[accept]
-            log_psi[accept] = log_psi_new[accept]
-            block_energies[step] = wf.local_energy(walkers)
+            np.copyto(walkers, proposal, where=accept[:, None, None])
+            np.copyto(log_psi, log_psi_new, where=accept)
+            e_local = np.where(accept, e_prop, e_local)
+            block_energies[step] = e_local
         if block >= params.warmup_blocks:
             energies = block_energies.ravel()
             rows.append(ScalarRow(

@@ -51,8 +51,8 @@ from repro.core.engine.dist.lease import (
 )
 from repro.core.engine.dist.merge import (
     MergeStats,
+    merge_and_write,
     merge_shards,
-    write_merged,
 )
 from repro.core.engine.dist.queue import (
     DEFAULT_QUARANTINE_AFTER,
@@ -185,17 +185,12 @@ class Coordinator:
             # A persistently broken queue cannot stop a partial finish:
             # the workers are already dead by the time we degrade here.
         quarantined = queue.quarantined() if partial else ()
-        if results_path is not None:
-            stats = write_merged(self.plan, queue.shard_paths(),
-                                 results_path, overwrite=overwrite,
-                                 partial=partial, extra=extra,
-                                 quarantined=quarantined)
-            merged, _ = merge_shards(self.plan, queue.shard_paths(),
-                                     partial=partial, extra=extra)
-        else:
-            merged, stats = merge_shards(self.plan, queue.shard_paths(),
-                                         partial=partial, extra=extra)
-        return merged, stats
+        if results_path is None:
+            return merge_shards(self.plan, queue.shard_paths(),
+                                partial=partial, extra=extra)
+        return merge_and_write(self.plan, queue.shard_paths(), results_path,
+                               overwrite=overwrite, partial=partial,
+                               extra=extra, quarantined=quarantined)
 
 
 def _worker_entry(root: str, plan: SweepPlan, worker_id: str,

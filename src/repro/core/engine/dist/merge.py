@@ -153,7 +153,27 @@ def write_merged(plan: SweepPlan, shard_paths: Sequence[str],
                                       Dict[int, RunRecord]]] = None,
                  quarantined: Sequence[Dict[str, Any]] = (),
                  holes_path: Optional[str] = None) -> MergeStats:
-    """Write the merged checkpoint, byte-identical to serial execution.
+    """Write the merged checkpoint; :func:`merge_and_write` without the
+    records."""
+    _, stats = merge_and_write(
+        plan, shard_paths, results_path, overwrite=overwrite,
+        partial=partial, extra=extra, quarantined=quarantined,
+        holes_path=holes_path)
+    return stats
+
+
+def merge_and_write(plan: SweepPlan, shard_paths: Sequence[str],
+                    results_path: str, *,
+                    overwrite: bool = False,
+                    partial: bool = False,
+                    extra: Optional[Dict[Optional[str],
+                                         Dict[int, RunRecord]]] = None,
+                    quarantined: Sequence[Dict[str, Any]] = (),
+                    holes_path: Optional[str] = None,
+                    ) -> Tuple[Dict[str, List[RunRecord]], MergeStats]:
+    """Merge the shards once and write the merged checkpoint,
+    byte-identical to serial execution; returns what
+    :func:`merge_shards` returns.
 
     Records are emitted through the same ``format_stamped_line`` path,
     in the same interleaved plan order, with the same per-cell stamps
@@ -204,4 +224,4 @@ def write_merged(plan: SweepPlan, shard_paths: Sequence[str],
             json.dump(report.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
         os.replace(tmp_report, path)
-    return stats
+    return merged, stats

@@ -20,7 +20,8 @@ run.  This module exploits the equivalence in both directions:
   live file system (copy-on-write, O(files touched)) instead of
   re-executing it.  Fault-point awareness is exactly this check: a QMC
   fault confined to ``He.s000.scalar.dat`` never re-runs the DMC
-  projection, while one that corrupted the walker file does.
+  projection, while one that corrupted the walker file does, unless it
+  still decodes to the golden walkers.
 
 Safety is conservative and checked per run, per boundary:
 

@@ -430,6 +430,38 @@ class TestDistributedByteIdentity:
         assert merge_stats.duplicates == 0
         assert merge_stats.total == len(plan)
 
+    def test_finish_with_results_path_merges_once(self, tmp_path,
+                                                  monkeypatch):
+        """One merge feeds both the returned records and the file; the
+        result equals a separate merge plus write_merged."""
+        import repro.core.engine.dist.coordinator as coordinator_module
+        import repro.core.engine.dist.merge as merge_module
+
+        plan = toy_plan()
+        root = str(tmp_path / "queue")
+        coordinator = Coordinator(plan, root, lease_runs=2)
+        coordinator.post()
+        run_worker(root, plan, "solo", max_idle_polls=3)
+        shards = coordinator.queue.shard_paths()
+        want_path = str(tmp_path / "want.jsonl")
+        want_stats = write_merged(plan, shards, want_path)
+        want_records, _ = merge_shards(plan, shards)
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return merge_shards(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator_module, "merge_shards", counting)
+        monkeypatch.setattr(merge_module, "merge_shards", counting)
+        got_path = str(tmp_path / "got.jsonl")
+        records, stats = coordinator.finish(results_path=got_path)
+        assert len(calls) == 1
+        assert records == want_records
+        assert stats == want_stats
+        assert filecmp.cmp(want_path, got_path, shallow=False)
+
     def test_forked_fleet_matches_serial(self, tmp_path):
         plan = toy_plan()
         serial_path, serial = self.serial(tmp_path, plan)

@@ -12,14 +12,22 @@ from __future__ import annotations
 
 import pytest
 
+import repro.apps.qmcpack.app as qmcpack_app
 from repro.apps.montage import MontageApplication, SkyConfig
 from repro.apps.nyx import FieldConfig, NyxApplication
 from repro.apps.qmcpack import QmcpackApplication
+from repro.apps.qmcpack.app import CONFIG_FILE, RUN_DIR, WALKER_DATASET
 from repro.apps.qmcpack.dmc import DmcParams
 from repro.apps.qmcpack.vmc import VmcParams
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
-from repro.core.metadata_campaign import MetadataCampaign
+from repro.core.engine import RunSpec, execute_run_spec
+from repro.core.metadata_campaign import ByteCorruptionContext, MetadataCampaign
+from repro.fusefs.mount import mount
+from repro.fusefs.vfs import FFISFileSystem
+from repro.mhdf5.api import File
+from repro.mhdf5.fieldmap import FieldClass
+from repro.mhdf5.reader import Hdf5Reader
 
 
 def small_nyx() -> NyxApplication:
@@ -106,3 +114,89 @@ def test_replayed_parallel_sweep_equals_cold_serial():
     assert replayed.keys() == cold.keys()
     for key in replayed.keys():
         assert replayed.cell(key) == cold.cell(key)
+
+
+class TestGoldenProjectionReuse:
+    """A replayed QMC run whose walker file still decodes to the golden
+    walkers reuses the golden DMC projection instead of re-running DMC;
+    the record must equal a fresh projection's, and cold runs must
+    still project."""
+
+    @staticmethod
+    def capture(app):
+        """Golden capture, its ``ffis_write`` trace, and the walker
+        file's write layout (the writer's field map and metadata blob)."""
+        fs = FFISFileSystem()
+        writes = []
+
+        def trace(call):
+            writes.append((call.seqno, call.args["offset"],
+                           bytes(call.args["buf"])))
+
+        fs.interposer.add_hook("ffis_write", trace)
+        with mount(fs) as mp:
+            golden = app.capture_golden(mp)
+            walkers = Hdf5Reader(mp, CONFIG_FILE).read(WALKER_DATASET)
+        with mount(FFISFileSystem()) as mp:
+            mp.makedirs(RUN_DIR)
+            with File(mp, CONFIG_FILE, "w") as f:
+                f.create_dataset(WALKER_DATASET, walkers)
+        return golden, writes, f.write_result
+
+    @staticmethod
+    def record(app, golden, seqno, byte_offset, bit, replay=None):
+        context = ByteCorruptionContext(app, golden, seqno)
+        context.replay = replay
+        return execute_run_spec(context, RunSpec(
+            run_index=0, target_instance=seqno, byte_offset=byte_offset,
+            bit_index=bit))
+
+    @pytest.fixture
+    def dmc_calls(self, monkeypatch):
+        calls = []
+        original = qmcpack_app.run_dmc
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qmcpack_app, "run_dmc", counting)
+        return calls
+
+    def test_reserved_byte_reuses_and_data_flip_reprojects(self, dmc_calls):
+        app = small_qmcpack()
+        golden, writes, layout = self.capture(app)
+        assert len(dmc_calls) == 1          # the golden projection
+        blob = layout.metadata_blob
+        meta = next(seqno for seqno, offset, buf in writes
+                    if offset == 0 and buf == blob)
+        # The superblock flags are rewritten after the blob; a byte there
+        # would not survive to the reader.
+        flags_seqno, flags_at, flags = writes[meta + 1]
+        assert flags_seqno == meta + 1
+        reserved = next(
+            span for span in layout.fieldmap
+            if span.cls is FieldClass.RESERVED and span.end <= len(blob)
+            and (span.end <= flags_at or span.start >= flags_at + len(flags)))
+        data_at = layout.plan.datasets[0].data_address
+        data = next(seqno for seqno, offset, _ in writes if offset == data_at)
+
+        # One flipped walker bit: a different array, a fresh projection.
+        flipped = self.record(app, golden, data, 100, 4)
+        assert len(dmc_calls) == 2
+        assert flipped.fault_fired
+        assert flipped == self.record(small_qmcpack(), golden, data, 100, 4)
+        assert len(dmc_calls) == 3
+
+        # A reserved metadata byte: same walkers, the stored projection.
+        reused = self.record(app, golden, meta, reserved.start, 0)
+        assert len(dmc_calls) == 3
+        assert reused.fault_fired
+        fresh = self.record(small_qmcpack(), golden, meta, reserved.start, 0)
+        assert len(dmc_calls) == 4          # the empty entry projected
+        assert reused == fresh
+
+        # Cold execution is the reference: it never takes the entry.
+        cold = self.record(app, golden, meta, reserved.start, 0, replay=False)
+        assert len(dmc_calls) == 5
+        assert cold == reused

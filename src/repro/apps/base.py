@@ -159,6 +159,10 @@ class HpcApplication(ABC):
     def __init__(self) -> None:
         self._phase_log: List[PhaseSpan] = []
         self._active_mp: Optional[MountPoint] = None
+        # True only inside execute_from, the replay engine's entry point:
+        # the one path on which a step may reuse work stored from the
+        # golden capture.  Cold execution stays the from-scratch reference.
+        self._replaying = False
 
     # -- phases ---------------------------------------------------------------
 
@@ -252,16 +256,19 @@ class HpcApplication(ABC):
 
         With ``start == 0`` this is a cold execution through the step
         driver; otherwise the caller must have restored the file system
-        and *carry* to the boundary before step *start*.
+        and *carry* to the boundary before step *start*.  Steps see
+        ``_replaying`` set for the duration.
         """
         self._phase_log = []
         self._active_mp = mp
+        self._replaying = True
         try:
             if start == 0:
                 self.prepare(mp, carry)
             self.run_steps(mp, carry, start=start, next_step=next_step)
         finally:
             self._active_mp = None
+            self._replaying = False
 
     # -- the application lifecycle ----------------------------------------------
 

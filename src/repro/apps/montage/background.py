@@ -15,7 +15,7 @@ coefficients").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.apps.montage.diff import DiffRecord
 from repro.errors import FormatError
 from repro.fusefs.mount import MountPoint
 from repro.mfits.hdu import ImageHDU
-from repro.mfits.io import read_fits, write_fits
+from repro.mfits.io import decode_fits, read_fits, write_fits
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,12 @@ def fit_plane(hdu: ImageHDU) -> PlaneFit:
     return PlaneFit(tile_a=int(hdu.header["TILEA"]),
                     tile_b=int(hdu.header["TILEB"]),
                     c0=float(coeffs[0]), cy=float(coeffs[1]), cx=float(coeffs[2]))
+
+
+def fit_diff(buf: bytes, path: str) -> PlaneFit:
+    """Plane fit of the difference image *path* whose file bytes are
+    *buf*: a pure function of *buf* (*path* only names errors)."""
+    return fit_plane(decode_fits(buf, path))
 
 
 def solve_corrections(fits: List[PlaneFit], tiles: List[int]) -> Dict[int, Tuple[float, float, float]]:
@@ -167,16 +173,25 @@ class BackgroundModel:
 
 
 def mbg_fit(mp: MountPoint, image_paths: List[str], diffs: List[DiffRecord],
-            out_dir: str) -> BackgroundModel:
+            out_dir: str,
+            fit: Callable[[bytes, str], PlaneFit] = fit_diff) -> BackgroundModel:
     """The fitting half of ``mBgExec``: fit planes, write/read the fits
-    table, load the projected images, solve the global corrections."""
+    table, load the projected images, solve the global corrections.
+
+    Every difference image is read whole and its file bytes handed to
+    *fit*.  The default, :func:`fit_diff`, fits from scratch; since a
+    fit is a pure function of those bytes, a caller may instead return
+    the stored fit of bytes it has fitted before -- which is how a
+    replayed Montage run refits only the differences that changed
+    (:class:`~repro.apps.montage.app.MontageApplication`).
+    """
     mp.makedirs(out_dir)
     plane_fits = []
     for rec in diffs:
         # Executor semantics: an unreadable or unusable difference image
         # just loses its constraint.
         try:
-            plane_fits.append(fit_plane(read_fits(mp, rec.path)))
+            plane_fits.append(fit(mp.read_file(rec.path), rec.path))
         except (FormatError, KeyError, TypeError, ValueError):
             continue
     table_path = f"{out_dir}/fits.tbl"

@@ -22,7 +22,7 @@ detected otherwise; analysis failures and library errors are crashes.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,20 +96,8 @@ class QmcpackApplication(HpcApplication):
         self._vmc_walkers, self._vmc_rows = run_vmc(self.wf, vmc_params, vmc_rng)
         # (walker key, DMC rows) of the first projection; see the class doc.
         self._dmc_memo: Optional[Tuple[_WalkerKey, Tuple[ScalarRow, ...]]] = None
-        self._replaying = False
 
     # -- lifecycle ---------------------------------------------------------------
-
-    def execute_from(self, mp: MountPoint, carry, start: int = 0,
-                     next_step: Optional[Callable[[int], int]] = None,
-                     ) -> None:
-        """The replay engine's entry point: the one path on which
-        ``dmc_compute`` may reuse the stored projection."""
-        self._replaying = True
-        try:
-            super().execute_from(mp, carry, start=start, next_step=next_step)
-        finally:
-            self._replaying = False
 
     def prepare(self, mp: MountPoint, carry) -> None:
         mp.makedirs(RUN_DIR)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -62,6 +63,30 @@ def _init_worker(token, shipped) -> None:
     """
     global _WORKER_STATE
     _WORKER_STATE = shipped if shipped is not None else _FORK_REGISTRY[token]
+    _place_worker()
+
+
+def _place_worker() -> None:
+    """Start this pool worker on its own CPU, then release it.
+
+    Workers fork from one parent and are woken by it, and a scheduler
+    may keep them stacked on the parent's CPU for a second or more
+    before it balances them out (on a 2-vCPU host, after idle, the
+    first ~1.5 s of a 2-worker pool ran on one CPU).  Moving worker
+    *k* (multiprocessing's child ordinal) to the *k*-th allowed CPU,
+    round robin, and then restoring the full mask spreads the pool from
+    its first task without pinning it: the scheduler stays free to
+    migrate it afterwards.  Placement never affects records.
+    """
+    identity = multiprocessing.current_process()._identity
+    if not identity or not hasattr(os, "sched_setaffinity"):
+        return                          # not a pool child, or no affinity API
+    allowed = sorted(os.sched_getaffinity(0))
+    try:
+        os.sched_setaffinity(0, {allowed[identity[-1] % len(allowed)]})
+        os.sched_setaffinity(0, allowed)
+    except OSError:                     # a CPU went away: placement is a hint
+        pass
 
 
 def _run_span(start: int, stop: int) -> list:
@@ -140,6 +165,9 @@ class ParallelExecutor(Executor):
     Submission is windowed: at most ``workers * IN_FLIGHT_PER_WORKER``
     chunk futures exist at any moment, keeping resident futures
     O(workers) for arbitrarily long plans.
+
+    Each worker starts on its own CPU (:func:`_place_worker`), so a short
+    plan does not wait for the scheduler to spread the pool.
     """
 
     #: In-flight futures allowed per worker.  Enough to keep every

@@ -8,13 +8,14 @@ m101) reads and writes at every pipeline stage.
 
 from repro.mfits.cards import Card, format_card, parse_card
 from repro.mfits.hdu import ImageHDU
-from repro.mfits.io import BLOCK_SIZE, read_fits, write_fits
+from repro.mfits.io import BLOCK_SIZE, decode_fits, read_fits, write_fits
 
 __all__ = [
     "Card",
     "format_card",
     "parse_card",
     "ImageHDU",
+    "decode_fits",
     "read_fits",
     "write_fits",
     "BLOCK_SIZE",

@@ -100,6 +100,8 @@ def parse_card(raw: bytes) -> Card:
 
 def _find_comment_separator(rest: str) -> int:
     """Index of the ``/`` starting the comment, respecting quoted strings."""
+    if "'" not in rest:                  # no quoted string to skip
+        return rest.find("/")
     in_string = False
     i = 0
     while i < len(rest):

@@ -45,7 +45,12 @@ def write_fits(mp: MountPoint, path: str, hdu: ImageHDU) -> int:
 
 def read_fits(mp: MountPoint, path: str) -> ImageHDU:
     """Read a single-HDU FITS file; malformed files raise :class:`FormatError`."""
-    buf = mp.read_file(path)
+    return decode_fits(mp.read_file(path), path)
+
+
+def decode_fits(buf: bytes, path: str) -> ImageHDU:
+    """Decode the bytes *buf* of the single-HDU FITS file *path* (named
+    in errors only); malformed files raise :class:`FormatError`."""
     if len(buf) < BLOCK_SIZE:
         raise FormatError(f"{path}: shorter than one FITS block")
 
@@ -58,10 +63,7 @@ def read_fits(mp: MountPoint, path: str) -> ImageHDU:
         block = buf[pos : pos + BLOCK_SIZE]
         pos += BLOCK_SIZE
         for i in range(CARDS_PER_BLOCK):
-            raw = block[i * CARD_SIZE : (i + 1) * CARD_SIZE]
-            if raw.strip() == b"" and any(c.keyword == "END" for c in cards):
-                continue
-            card = parse_card(raw)
+            card = parse_card(block[i * CARD_SIZE : (i + 1) * CARD_SIZE])
             cards.append(card)
             if card.keyword == "END":
                 ended = True

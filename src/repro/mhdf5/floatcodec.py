@@ -15,9 +15,26 @@ subnormal, all-ones exponent → inf/NaN, only for ``IMPLIED``).
 
 Everything is numpy-vectorized: an n-element dataset decodes with a
 handful of array ops, no Python-level per-element loop.
+
+**Native path.**  When every field the decoder reads -- size, sign
+location, exponent location and size, mantissa location and size,
+exponent bias, and ``IMPLIED`` normalization -- is exactly IEEE binary32
+or binary64 (either byte order), :func:`decode_floats` lets numpy
+convert the bytes instead.  That is exact, not an approximation: under
+IEEE geometry every term of the formula above is exact in float64 (the
+mantissa fits 53 bits and the scale is a power of two inside float64's
+range, subnormals included), so both paths give exactly the stored
+value, ±0 and ±inf included.  The only difference is NaN:
+the generic path emits a canonical NaN carrying the input's sign and
+drops the payload, so the native path rewrites its NaNs to match.
+``bit_offset`` and ``bit_precision`` are read by neither path, so they
+play no part in the choice.  Every other geometry -- every Table IV
+numeric-field corruption -- takes the generic assembly.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -51,17 +68,40 @@ def _validate_geometry(dt: DatatypeMessage) -> None:
         raise FormatError("mantissa/exponent size out of range")
 
 
-def _elements_as_uint64(raw: bytes, dt: DatatypeMessage, count: int) -> np.ndarray:
-    """Assemble *count* elements of *raw* into uint64 words.
+#: ``(size, sign location, exponent location, exponent size, mantissa
+#: location, mantissa size, exponent bias, normalization)`` of the IEEE
+#: formats numpy decodes natively, with their numpy type codes.
+_IEEE_GEOMETRY = {
+    (4, 31, 23, 8, 0, 23, 127, MantissaNorm.IMPLIED): "f4",
+    (8, 63, 52, 11, 0, 52, 1023, MantissaNorm.IMPLIED): "f8",
+}
 
-    Short input is zero-extended: reading past the end of the allocation
-    (e.g. after an ARD shift) observes holes, not an error -- matching
-    how a read of a sparse region behaves.
-    """
-    need = count * dt.size
+
+def _native_type(dt: DatatypeMessage) -> Optional[np.dtype]:
+    """The numpy dtype that decodes *dt* exactly, or ``None``."""
+    code = _IEEE_GEOMETRY.get((dt.size, dt.sign_location, dt.exponent_location,
+                               dt.exponent_size, dt.mantissa_location,
+                               dt.mantissa_size, dt.exponent_bias,
+                               dt.mantissa_norm))
+    if code is None:
+        return None
+    return np.dtype((">" if dt.byte_order is ByteOrder.BIG else "<") + code)
+
+
+def _zero_extended(raw: bytes, need: int) -> bytes:
+    """The first *need* bytes of *raw*, zero-extended when it is short:
+    reading past the end of the allocation (e.g. after an ARD shift)
+    observes holes, not an error -- matching how a read of a sparse
+    region behaves."""
     if len(raw) < need:
-        raw = raw + b"\x00" * (need - len(raw))
-    a = np.frombuffer(raw[:need], dtype=np.uint8).reshape(count, dt.size)
+        return raw + b"\x00" * (need - len(raw))
+    return raw[:need]
+
+
+def _elements_as_uint64(raw: bytes, dt: DatatypeMessage, count: int) -> np.ndarray:
+    """Assemble *count* elements of *raw* into uint64 words."""
+    raw = _zero_extended(raw, count * dt.size)
+    a = np.frombuffer(raw, dtype=np.uint8).reshape(count, dt.size)
     if dt.byte_order is ByteOrder.BIG:
         a = a[:, ::-1]
     shifts = (np.arange(dt.size, dtype=np.uint64) * np.uint64(8))
@@ -73,7 +113,9 @@ def decode_floats(raw: bytes, dt: DatatypeMessage, count: int) -> np.ndarray:
 
     Returns a float64 array.  Raises :class:`FormatError` for geometry the
     library would reject; silently produces wrong values for geometry that
-    is in-range but not what the data was written with.
+    is in-range but not what the data was written with.  IEEE geometry
+    takes the native path (see the module docstring); its output is
+    bit-identical to the generic assembly's.
     """
     _validate_geometry(dt)
     if count < 0:
@@ -81,6 +123,21 @@ def decode_floats(raw: bytes, dt: DatatypeMessage, count: int) -> np.ndarray:
     if count == 0:
         return np.zeros(0, dtype=np.float64)
 
+    native = _native_type(dt)
+    if native is None:
+        return _decode_generic(raw, dt, count)
+    with np.errstate(invalid="ignore"):     # signalling NaNs quieten
+        values = np.frombuffer(_zero_extended(raw, count * dt.size),
+                               dtype=native).astype(np.float64)
+    nan = np.isnan(values)
+    if nan.any():
+        values[nan] = np.copysign(np.nan, values[nan])
+    return values
+
+
+def _decode_generic(raw: bytes, dt: DatatypeMessage, count: int) -> np.ndarray:
+    """The generic assembly from the recorded geometry (any valid *dt*,
+    ``count > 0``); the reference the native path is tested against."""
     u = _elements_as_uint64(raw, dt, count)
 
     def field(location: int, size: int) -> np.ndarray:

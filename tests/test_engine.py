@@ -167,6 +167,57 @@ class TestBoundedSubmission:
             3 * ParallelExecutor.IN_FLIGHT_PER_WORKER
 
 
+class TestWorkerPlacement:
+    """Pool workers start on their own CPU and are then released."""
+
+    @pytest.fixture
+    def affinity(self, monkeypatch):
+        import os
+
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 1, 4},
+                            raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: calls.append(set(cpus)),
+                            raising=False)
+        return calls
+
+    def test_child_k_starts_on_the_kth_allowed_cpu(self, affinity,
+                                                   monkeypatch):
+        import multiprocessing
+        from types import SimpleNamespace
+
+        from repro.core.engine.executor import _place_worker
+
+        for ordinal, cpu in ((1, 4), (2, 7), (3, 1), (5, 7)):
+            monkeypatch.setattr(multiprocessing, "current_process",
+                                lambda: SimpleNamespace(_identity=(ordinal,)))
+            _place_worker()
+            assert affinity[-2:] == [{cpu}, {1, 4, 7}]
+
+    def test_the_parent_is_never_moved(self, affinity):
+        from repro.core.engine.executor import _place_worker
+
+        _place_worker()
+        assert affinity == []
+
+    @pytest.mark.skipif(not hasattr(__import__("os"), "sched_setaffinity"),
+                        reason="no CPU affinity API")
+    def test_real_workers_keep_the_full_mask(self):
+        import multiprocessing
+        import os
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.core.engine.executor import _place_worker
+
+        allowed = os.sched_getaffinity(0)
+        with ProcessPoolExecutor(
+                2, mp_context=multiprocessing.get_context("fork"),
+                initializer=_place_worker) as pool:
+            masks = list(pool.map(os.sched_getaffinity, [0, 0, 0]))
+        assert masks == [allowed] * 3
+
+
 class TestCheckpointResume:
     def test_resume_completes_exactly_the_remainder(self, tiny_nyx,
                                                     bf_config, tmp_path):

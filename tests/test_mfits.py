@@ -5,7 +5,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import FormatError
-from repro.mfits import BLOCK_SIZE, Card, ImageHDU, format_card, parse_card, read_fits, write_fits
+from repro.mfits import (BLOCK_SIZE, Card, ImageHDU, decode_fits, format_card,
+                         parse_card, read_fits, write_fits)
+from repro.mfits.cards import _find_comment_separator
+
+
+def separator_by_scan(rest):
+    """The quote-aware scan for the comment ``/``, character by
+    character (the reference for the quote-free fast path)."""
+    in_string = False
+    i = 0
+    while i < len(rest):
+        c = rest[i]
+        if c == "'":
+            if in_string and i + 1 < len(rest) and rest[i + 1] == "'":
+                i += 1
+            else:
+                in_string = not in_string
+        elif c == "/" and not in_string:
+            return i
+        i += 1
+    return -1
 
 
 class TestCards:
@@ -46,6 +66,44 @@ class TestCards:
         raw = ("KEY     = @@@@").ljust(80).encode()
         with pytest.raises(FormatError):
             parse_card(raw)
+
+    @pytest.mark.parametrize("text,expected", [
+        # a slash inside a quoted value
+        ("NAME    = 'a/b'", ("NAME", "a/b", "")),
+        ("NAME    = 'a/b'             / the / note", ("NAME", "a/b", "the / note")),
+        # an escaped '' before a slash
+        ("NAME    = 'o''b/c' / x", ("NAME", "o'b/c", "x")),
+        ("NAME    = '''' / x", ("NAME", "'", "x")),
+        # a trailing comment
+        ("NAXIS1  =                   12 / length of axis 1",
+         ("NAXIS1", 12, "length of axis 1")),
+        ("CRPIX1  =                 16.0/", ("CRPIX1", 16.0, "")),
+        # no comment
+        ("CRPIX1  =                 16.0", ("CRPIX1", 16.0, "")),
+        ("SIMPLE  =                    T", ("SIMPLE", True, "")),
+        # a blank card, as padding before END
+        ("", ("", None, "")),
+        ("END", ("END", None, "")),
+    ])
+    def test_parse_table(self, text, expected):
+        card = parse_card(text.ljust(80).encode("ascii"))
+        assert (card.keyword, card.value, card.comment) == expected
+
+    @given(st.text(alphabet=" /'aT1.", max_size=24))
+    def test_comment_separator_matches_scan(self, rest):
+        assert _find_comment_separator(rest) == separator_by_scan(rest)
+
+    def test_blank_card_before_end(self):
+        data = np.arange(6, dtype=np.float32).reshape(2, 3)
+        cards = ImageHDU(data, header={"CRPIX1": 2.0}).header_cards()
+        header = b"".join(format_card(c) for c in cards[:-1])
+        header += b" " * 80 + format_card(Card("END"))
+        header += b" " * (-len(header) % BLOCK_SIZE)
+        raw = data.astype(">f4").tobytes()
+        hdu = decode_fits(header + raw + b"\x00" * (-len(raw) % BLOCK_SIZE),
+                          "/blank.fits")
+        assert np.array_equal(hdu.data, data)
+        assert hdu.header == {"CRPIX1": 2.0}
 
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
                    max_size=16))

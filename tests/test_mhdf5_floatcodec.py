@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FormatError
+from repro.mhdf5 import floatcodec
 from repro.mhdf5.datatype import ByteOrder, MantissaNorm, ieee_f32le, ieee_f64le
 from repro.mhdf5.floatcodec import decode_floats, encode_floats
 
@@ -133,3 +134,148 @@ class TestEncodeValidation:
         with pytest.raises(ValueError):
             decode_floats(b"", ieee_f32le(), -1)
         assert len(decode_floats(b"", ieee_f32le(), 0)) == 0
+
+
+#: ``(datatype, uint word type, mantissa bits, exponent bits)`` of the
+#: IEEE formats the native path serves.
+IEEE_FORMATS = [(ieee_f32le, np.uint32, 23, 8), (ieee_f64le, np.uint64, 52, 11)]
+
+
+def ieee_words(word, mant_bits, exp_bits, mantissas):
+    """Every exponent value, both signs, each of *mantissas*."""
+    sign, exp, mant = np.meshgrid(
+        np.arange(2, dtype=np.uint64), np.arange(1 << exp_bits, dtype=np.uint64),
+        np.array(mantissas, dtype=np.uint64), indexing="ij")
+    bits = ((sign << np.uint64(mant_bits + exp_bits))
+            | (exp << np.uint64(mant_bits)) | mant)
+    return bits.ravel().astype(word)
+
+
+def both_orders(dt, words):
+    """``(datatype, raw bytes)`` of *words* in each byte order."""
+    little = words.astype(words.dtype.newbyteorder("<")).tobytes()
+    big = words.astype(words.dtype.newbyteorder(">")).tobytes()
+    return [(dt, little), (dt.with_fields(byte_order=ByteOrder.BIG), big)]
+
+
+class TestNativeDecode:
+    """IEEE geometry takes numpy's native conversion; the generic bit
+    assembly is the reference it must equal bit for bit, and every other
+    geometry -- each Table IV numeric-field corruption -- must still be
+    assembled from its recorded fields."""
+
+    @pytest.fixture
+    def assembled(self, monkeypatch):
+        """Calls of the generic bit assembly."""
+        calls = []
+        real = floatcodec._elements_as_uint64
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(floatcodec, "_elements_as_uint64", counting)
+        return calls
+
+    @staticmethod
+    def check_native(assembled, raw, dt, count):
+        before = len(assembled)
+        native = decode_floats(raw, dt, count)
+        assert len(assembled) == before, "IEEE geometry took the generic path"
+        reference = floatcodec._decode_generic(raw, dt, count)
+        assert native.dtype == reference.dtype == np.float64
+        assert native.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("make,word,mant_bits,exp_bits", IEEE_FORMATS)
+    def test_every_exponent_both_signs(self, assembled, make, word,
+                                       mant_bits, exp_bits):
+        top = (1 << mant_bits) - 1
+        mantissas = [0, 1, 2, 1 << (mant_bits - 1), (1 << (mant_bits - 1)) + 1,
+                     top, top - 1, 0x5555555555555555 & top,
+                     0x2AAAAAAAAAAAAAAA & top]
+        words = ieee_words(word, mant_bits, exp_bits, mantissas)
+        assert words.size == 2 * (1 << exp_bits) * len(mantissas)
+        for dt, raw in both_orders(make(), words):
+            self.check_native(assembled, raw, dt, words.size)
+
+    @pytest.mark.parametrize("make,word,mant_bits,exp_bits", IEEE_FORMATS)
+    def test_nan_payloads_and_specials(self, assembled, make, word,
+                                       mant_bits, exp_bits):
+        quiet = 1 << (mant_bits - 1)
+        top = (1 << mant_bits) - 1
+        nan_payloads = [quiet, quiet | 1, quiet | 0x1234, top,   # quiet
+                        1, 2, 0x1234, quiet - 1]                 # signalling
+        all_ones = (1 << exp_bits) - 1
+        sign = 1 << (mant_bits + exp_bits)
+        fields = ([(all_ones, m) for m in nan_payloads]
+                  + [(all_ones, 0),                    # inf
+                     (0, 0),                           # zero
+                     (0, 1), (0, 0x1234), (0, top),    # subnormals
+                     (1, 0)])                          # smallest normal
+        base = [(e << mant_bits) | m for e, m in fields]
+        words = np.array(base + [w | sign for w in base], dtype=word)
+        for dt, raw in both_orders(make(), words):
+            self.check_native(assembled, raw, dt, words.size)
+            decoded = decode_floats(raw, dt, words.size)
+            n = len(base)
+            assert np.isnan(decoded[:len(nan_payloads)]).all()
+            assert np.isnan(decoded[n:n + len(nan_payloads)]).all()
+            assert not np.signbit(decoded[:n]).any()
+            assert np.signbit(decoded[n:]).all()
+
+    @pytest.mark.parametrize("make,word,mant_bits,exp_bits", IEEE_FORMATS)
+    def test_random_bytes_and_short_input(self, assembled, make, word,
+                                          mant_bits, exp_bits):
+        rng = np.random.default_rng(17)
+        size = np.dtype(word).itemsize
+        raw = rng.integers(0, 256, 512 * size, dtype=np.uint8).tobytes()
+        for dt in (make(), make().with_fields(byte_order=ByteOrder.BIG)):
+            self.check_native(assembled, raw, dt, 512)
+            self.check_native(assembled, raw + b"\xff" * 9, dt, 512)
+            for cut in (0, 1, size - 1, size, 3 * size + 1, 100):
+                self.check_native(assembled, raw[:cut], dt, 512)
+                assert not decode_floats(raw[:cut], dt, 512)[cut // size + 1:].any()
+
+    @pytest.mark.parametrize("make", [ieee_f32le, ieee_f64le])
+    def test_zero_count(self, assembled, make):
+        for dt in (make(), make().with_fields(byte_order=ByteOrder.BIG)):
+            for raw in (b"", b"\x01" * 16):
+                out = decode_floats(raw, dt, 0)
+                assert out.dtype == np.float64 and out.size == 0
+        assert assembled == []
+
+    @pytest.mark.parametrize("make,word,mant_bits,exp_bits", IEEE_FORMATS)
+    def test_tolerant_fields_do_not_choose_the_path(self, assembled, make, word,
+                                                    mant_bits, exp_bits):
+        """``bit_offset``/``bit_precision`` are read by neither path."""
+        words = ieee_words(word, mant_bits, exp_bits, [0, 1, 0x1234])
+        for offset, precision in ((0, 0), (7, 16), (65535, 65535)):
+            dt = make().with_fields(bit_offset=offset, bit_precision=precision)
+            for dt, raw in both_orders(dt, words):
+                self.check_native(assembled, raw, dt, words.size)
+
+    @pytest.mark.parametrize("make", [ieee_f32le, ieee_f64le])
+    @pytest.mark.parametrize("field", [
+        "mantissa_norm_raw", "exponent_location", "mantissa_location",
+        "mantissa_size", "exponent_bias", "sign_location"])
+    def test_table4_corruptions_take_the_generic_path(self, assembled, make,
+                                                      field):
+        """One corrupted Table IV numeric field each (mantissa norm: bit 5
+        of its byte, IMPLIED -> NONE; locations and sizes: one step, kept
+        in range; bias: off by one)."""
+        golden = make()
+        corrupt = {
+            "mantissa_norm_raw": MantissaNorm.NONE.value,
+            "exponent_location": golden.exponent_location - 1,
+            "mantissa_location": golden.mantissa_location + 1,
+            "mantissa_size": golden.mantissa_size - 1,
+            "exponent_bias": golden.exponent_bias - 1,
+            "sign_location": golden.sign_location - 1,
+        }[field]
+        dt = golden.with_fields(**{field: corrupt})
+        raw = np.arange(1, 65, dtype=np.float64).astype(
+            np.float32 if golden.size == 4 else np.float64).tobytes()
+        decoded = decode_floats(raw, dt, 64)
+        assert assembled == [dt]
+        assert decoded.tobytes() == floatcodec._decode_generic(raw, dt, 64).tobytes()
+        assert decoded.tobytes() != decode_floats(raw, golden, 64).tobytes()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.apps.montage.background as montage_background
 import repro.apps.qmcpack.app as qmcpack_app
 from repro.apps.montage import MontageApplication, SkyConfig
 from repro.apps.nyx import FieldConfig, NyxApplication
@@ -27,6 +28,7 @@ from repro.fusefs.mount import mount
 from repro.fusefs.vfs import FFISFileSystem
 from repro.mhdf5.api import File
 from repro.mhdf5.fieldmap import FieldClass
+from repro.mfits.io import BLOCK_SIZE
 from repro.mhdf5.reader import Hdf5Reader
 
 
@@ -116,6 +118,16 @@ def test_replayed_parallel_sweep_equals_cold_serial():
         assert replayed.cell(key) == cold.cell(key)
 
 
+def flip_record(app, golden, seqno, byte_offset, bit, replay=None):
+    """The record of one run flipping *bit* of byte *byte_offset* of
+    ``ffis_write`` *seqno* (``replay=False``: executed cold)."""
+    context = ByteCorruptionContext(app, golden, seqno)
+    context.replay = replay
+    return execute_run_spec(context, RunSpec(
+        run_index=0, target_instance=seqno, byte_offset=byte_offset,
+        bit_index=bit))
+
+
 class TestGoldenProjectionReuse:
     """A replayed QMC run whose walker file still decodes to the golden
     walkers reuses the golden DMC projection instead of re-running DMC;
@@ -142,14 +154,6 @@ class TestGoldenProjectionReuse:
             with File(mp, CONFIG_FILE, "w") as f:
                 f.create_dataset(WALKER_DATASET, walkers)
         return golden, writes, f.write_result
-
-    @staticmethod
-    def record(app, golden, seqno, byte_offset, bit, replay=None):
-        context = ByteCorruptionContext(app, golden, seqno)
-        context.replay = replay
-        return execute_run_spec(context, RunSpec(
-            run_index=0, target_instance=seqno, byte_offset=byte_offset,
-            bit_index=bit))
 
     @pytest.fixture
     def dmc_calls(self, monkeypatch):
@@ -182,21 +186,94 @@ class TestGoldenProjectionReuse:
         data = next(seqno for seqno, offset, _ in writes if offset == data_at)
 
         # One flipped walker bit: a different array, a fresh projection.
-        flipped = self.record(app, golden, data, 100, 4)
+        flipped = flip_record(app, golden, data, 100, 4)
         assert len(dmc_calls) == 2
         assert flipped.fault_fired
-        assert flipped == self.record(small_qmcpack(), golden, data, 100, 4)
+        assert flipped == flip_record(small_qmcpack(), golden, data, 100, 4)
         assert len(dmc_calls) == 3
 
         # A reserved metadata byte: same walkers, the stored projection.
-        reused = self.record(app, golden, meta, reserved.start, 0)
+        reused = flip_record(app, golden, meta, reserved.start, 0)
         assert len(dmc_calls) == 3
         assert reused.fault_fired
-        fresh = self.record(small_qmcpack(), golden, meta, reserved.start, 0)
+        fresh = flip_record(small_qmcpack(), golden, meta, reserved.start, 0)
         assert len(dmc_calls) == 4          # the empty entry projected
         assert reused == fresh
 
         # Cold execution is the reference: it never takes the entry.
-        cold = self.record(app, golden, meta, reserved.start, 0, replay=False)
+        cold = flip_record(app, golden, meta, reserved.start, 0, replay=False)
         assert len(dmc_calls) == 5
         assert cold == reused
+
+
+class TestGoldenPlaneFitReuse:
+    """A replayed Montage run takes the golden plane fit of every
+    difference file whose bytes are unchanged and refits only the rest;
+    the record must equal a run with an empty dict, and cold runs must
+    still fit every difference image."""
+
+    @staticmethod
+    def capture(app):
+        """Golden capture and its ``mDiffExec`` writes
+        ``(seqno, offset, bytes)``: a header block, then data blocks,
+        per difference file."""
+        fs = FFISFileSystem()
+        writes = []
+
+        def trace(call):
+            writes.append((call.seqno, call.args["offset"],
+                           bytes(call.args["buf"])))
+
+        fs.interposer.add_hook("ffis_write", trace)
+        with mount(fs) as mp:
+            golden = app.capture_golden(mp)
+        span = golden.phase("mDiffExec")
+        return golden, [w for w in writes if span.start <= w[0] < span.end]
+
+    @pytest.fixture
+    def fit_calls(self, monkeypatch):
+        calls = []
+        original = montage_background.fit_plane
+
+        def counting(hdu):
+            calls.append(1)
+            return original(hdu)
+
+        monkeypatch.setattr(montage_background, "fit_plane", counting)
+        return calls
+
+    def test_flipped_pixel_refits_that_diff_alone(self, fit_calls):
+        app = small_montage()
+        golden, diff_writes = self.capture(app)
+        n_diffs = len(fit_calls)            # the golden capture fits them all
+        assert n_diffs == len(app._plane_fits) >= 2
+        data = next(seqno for seqno, offset, _ in diff_writes
+                    if offset == BLOCK_SIZE)
+
+        flipped = flip_record(app, golden, data, 100, 6)
+        assert flipped.fault_fired
+        assert len(fit_calls) == n_diffs + 1
+        assert len(app._plane_fits) == n_diffs     # only golden fits stored
+        fresh = flip_record(small_montage(), golden, data, 100, 6)
+        assert len(fit_calls) == 2 * n_diffs + 1   # the empty dict fits all
+        assert flipped == fresh
+
+        # Cold execution is the reference: it never takes a stored fit.
+        cold = flip_record(app, golden, data, 100, 6, replay=False)
+        assert len(fit_calls) == 3 * n_diffs + 1
+        assert cold == flipped
+
+    def test_header_only_change_is_refitted(self, fit_calls):
+        """Golden pixel bytes under a changed ``CRPIX1`` card: the key is
+        the whole file, so keying on the pixel data alone fails here."""
+        app = small_montage()
+        golden, diff_writes = self.capture(app)
+        n_diffs = len(fit_calls)
+        seqno, _, header = next(w for w in diff_writes if w[1] == 0)
+        # The units digit of the value: bit 0 turns it into another digit.
+        digit = header.index(b".", header.index(b"CRPIX1")) - 1
+
+        changed = flip_record(app, golden, seqno, digit, 0)
+        assert changed.fault_fired
+        assert len(fit_calls) == n_diffs + 1
+        assert changed == flip_record(small_montage(), golden, seqno, digit, 0)

@@ -12,6 +12,17 @@ The mixed estimator converges to the He ground state (-2.90372 Ha) up to
 timestep bias and statistics.  Local energies are clamped so corrupted
 restart walkers (e.g. zeroed coordinates from a dropped write) produce
 *visible* energy excursions instead of numerical explosions.
+
+Layout.  :func:`run_dmc` converts the ``(N, 2, 3)`` population to the
+kernel's component-major ``(6, N)`` array once on entry and back once on
+return (see :mod:`repro.apps.qmcpack.wavefunction`).  Positions, forces
+and their norms and Green's functions work down axis 0; accepting a move
+and resampling the population select columns.  The result is bit for
+bit that of the per-walker ``(N, 2, 3)`` loop: the adds down axis 0 fold
+a walker's six squares left to right, as numpy's row sum does, every
+other operation has the same operands in the same order, and the noise
+is drawn by the same call with the same ``(N, 2, 3)`` shape and only
+viewed transposed, so the random stream is consumed identically.
 """
 
 from __future__ import annotations
@@ -22,7 +33,12 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.apps.qmcpack.scalars import ScalarRow
-from repro.apps.qmcpack.wavefunction import HeliumWavefunction, row_norms
+from repro.apps.qmcpack.wavefunction import (
+    SATURATE,
+    HeliumWavefunction,
+    to_components,
+    to_walkers,
+)
 
 ENERGY_CLAMP = 100.0    # |E_L| clamp guarding corrupted-restart pathologies
 WEIGHT_CLIP = (0.1, 10.0)
@@ -45,17 +61,18 @@ class PopulationCollapse(RuntimeError):
 
 def _limited_force(grad: np.ndarray, tau: float) -> np.ndarray:
     """Quantum force F = 2 grad ln psi with the standard norm limiter for
-    finite tau."""
+    finite tau; component-major ``(6, N)`` in and out."""
     force = 2.0 * grad
-    fmag = row_norms(force.reshape(len(force), -1))[:, None, None]
+    fmag = np.sqrt(np.add.reduce(force * force, axis=0))
     return force / np.maximum(1.0, 0.5 * tau * fmag)
 
 
 def _log_green(to: np.ndarray, frm: np.ndarray, drift: np.ndarray,
                tau: float) -> np.ndarray:
-    """ln of the drift-diffusion Green's function from *frm* to *to*."""
+    """ln of the drift-diffusion Green's function from *frm* to *to*,
+    per column of component-major ``(6, N)`` arrays."""
     diff = to - frm - 0.5 * tau * drift
-    return -(diff * diff).sum(axis=(1, 2)) / (2.0 * tau)
+    return -np.add.reduce(diff * diff, axis=0) / (2.0 * tau)
 
 
 def _systematic_resample(weights: np.ndarray, n_out: int,
@@ -67,6 +84,7 @@ def _systematic_resample(weights: np.ndarray, n_out: int,
     return np.searchsorted(cumulative, positions, side="right").clip(0, len(weights) - 1)
 
 
+@np.errstate(**SATURATE)
 def run_dmc(wf: HeliumWavefunction, walkers: np.ndarray, params: DmcParams,
             rng: np.random.Generator) -> Tuple[np.ndarray, List[ScalarRow]]:
     """Run DMC from an initial population; returns (walkers, scalar rows)."""
@@ -80,10 +98,11 @@ def run_dmc(wf: HeliumWavefunction, walkers: np.ndarray, params: DmcParams,
         walkers = np.nan_to_num(walkers, nan=0.0, posinf=0.0, neginf=0.0)
 
     n = len(walkers)
+    x = to_components(walkers)
     tau = params.tau
     sqrt_tau = np.sqrt(tau)
     weights = np.ones(n, dtype=np.float64)
-    log_psi, grad, e_local = wf.evaluate(walkers)
+    log_psi, grad, e_local = wf.evaluate_components(x)
     e_local = np.clip(e_local, -ENERGY_CLAMP, ENERGY_CLAMP)
     e_trial = float(np.average(e_local, weights=weights))
     force = _limited_force(grad, tau)
@@ -96,22 +115,21 @@ def run_dmc(wf: HeliumWavefunction, walkers: np.ndarray, params: DmcParams,
         block_weight = 0.0
         for _ in range(params.steps_per_block):
             step_count += 1
-            proposal = (walkers + 0.5 * tau * force
-                        + sqrt_tau * rng.standard_normal(walkers.shape))
-            log_psi_new, grad_new, e_prop = wf.evaluate(proposal)
+            noise = rng.standard_normal(walkers.shape).reshape(n, 6).T
+            proposal = x + 0.5 * tau * force + sqrt_tau * noise
+            log_psi_new, grad_new, e_prop = wf.evaluate_components(proposal)
             force_new = _limited_force(grad_new, tau)
 
             log_ratio = (2.0 * (log_psi_new - log_psi)
-                         + _log_green(walkers, proposal, force_new, tau)
-                         - _log_green(proposal, walkers, force, tau))
+                         + _log_green(x, proposal, force_new, tau)
+                         - _log_green(proposal, x, force, tau))
             accept = np.log(rng.random(n)) < log_ratio
-            moved = accept[:, None, None]
-            np.copyto(walkers, proposal, where=moved)
+            np.copyto(x, proposal, where=accept)
             np.copyto(log_psi, log_psi_new, where=accept)
-            np.copyto(force, force_new, where=moved)
+            np.copyto(force, force_new, where=accept)
 
-            # Each row's energy is its own walker's: the carried value
-            # for a rejected move, the proposal's for an accepted one.
+            # Each walker's energy is its own: the carried value for a
+            # rejected move, the proposal's for an accepted one.
             e_new = np.where(accept,
                              np.clip(e_prop, -ENERGY_CLAMP, ENERGY_CLAMP),
                              e_local)
@@ -136,14 +154,17 @@ def run_dmc(wf: HeliumWavefunction, walkers: np.ndarray, params: DmcParams,
 
             if step_count % params.reconfigure_every == 0:
                 idx = _systematic_resample(weights, n, rng)
-                walkers = walkers[idx]
+                # take() keeps the columns C-contiguous; x[:, idx] would
+                # hand back a Fortran-ordered array and stride every
+                # later row operation.
+                x = x.take(idx, axis=1)
                 e_local = e_local[idx]
                 log_psi = log_psi[idx]
-                force = force[idx]
+                force = force.take(idx, axis=1)
                 weights = np.full(n, 1.0)
 
         mean = block_energy / block_weight
         var = block_energy_sq / block_weight - mean * mean
         rows.append(ScalarRow(index=block, local_energy=mean,
                               variance=max(var, 0.0), weight=block_weight))
-    return walkers, rows
+    return to_walkers(x), rows

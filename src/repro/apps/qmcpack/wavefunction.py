@@ -12,18 +12,37 @@ assembled from ln psi derivatives:
 
     E_L = -1/2 sum_i (lap_i ln psi + |grad_i ln psi|^2) - 2/r1 - 2/r2 + 1/r12
 
-All evaluations are vectorized over walker populations: a walker set is a
-``(N, 2, 3)`` array.  One geometry pass (:func:`_geometry`) feeds every
-quantity, and :meth:`HeliumWavefunction.evaluate` returns ln psi, its
+Layout.  The kernel, :meth:`HeliumWavefunction.evaluate_components`,
+works on a component-major ``(6, N)`` walker array, one row per
+coordinate: x1, y1, z1, x2, y2, z2 (:func:`to_components` and
+:func:`to_walkers` convert from and to the ``(N, 2, 3)`` population
+layout).  Each formula then runs once over all walkers and all
+components: r1, r2 and r12 come from one reduction over the stacked
+``[x1; x2; x1 - x2]`` ``(9, N)`` buffer (viewed as ``(3, 3, N)``), and
+the three unit-vector sets from one division.  It returns ln psi, its
 gradient and E_L together, so a Monte Carlo step measures each walker's
-distances once.  Every term is computed per walker row: a row's values do
-not depend on which other rows share the batch.
+distances once.
+
+Why it is exact.  Every IEEE operation keeps the operands, and the
+operand order, of the per-walker ``(N, 2, 3)`` formulas.  The sums are
+left folds either way: numpy folds a short ``axis=1`` row sum of an
+``(N, 3)`` array left to right, ``(x*x + y*y) + z*z`` (checked on numpy
+2.4.6; ``tests/test_qmcpack_kernel.py`` checks it on every interpreter
+against the per-walker code), and a reduction across the rows of a
+component-major array adds one whole row at a time, in row order.  Every
+term is computed per walker column: a column's values do not depend on
+which other walkers share the batch.
+
+Corrupted walkers (astronomical radii, inf, NaN) saturate to inf/NaN or
+to zero derivatives by design, so the kernel runs under
+:data:`SATURATE`, which silences exactly those two floating-point
+warnings and changes no value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -33,35 +52,23 @@ import numpy as np
 #: but corrupted restarts can.
 R_EPS = 1e-12
 
+#: ``np.errstate`` arguments the Monte Carlo kernel runs under: overflow
+#: and invalid operations are the intended saturation of corrupted
+#: walkers, not errors worth a warning.
+SATURATE: Dict[str, str] = {"over": "ignore", "invalid": "ignore"}
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a real ``(N, k)`` array.
-
-    The same reduction ``np.linalg.norm(x, axis=1)`` performs for real
-    input, bit for bit, without its argument handling.
-    """
-    return np.sqrt(np.add.reduce(x * x, axis=1))
-
-
-class _Geometry(NamedTuple):
-    """One pass over a ``(N, 2, 3)`` walker set."""
-
-    x1: np.ndarray    # electron positions, (N, 3)
-    x2: np.ndarray
-    x12: np.ndarray   # x1 - x2
-    r1: np.ndarray    # floored magnitudes, (N,)
-    r2: np.ndarray
-    r12: np.ndarray
+#: Numerators of the potential's three terms, -2/r1 - 2/r2 + 1/r12.
+_CHARGES = np.array([[-2.0], [2.0], [1.0]])
 
 
-def _geometry(walkers: np.ndarray) -> _Geometry:
-    x1 = walkers[:, 0, :]
-    x2 = walkers[:, 1, :]
-    x12 = x1 - x2
-    return _Geometry(x1, x2, x12,
-                     np.maximum(row_norms(x1), R_EPS),
-                     np.maximum(row_norms(x2), R_EPS),
-                     np.maximum(row_norms(x12), R_EPS))
+def to_components(walkers: np.ndarray) -> np.ndarray:
+    """``(N, 2, 3)`` walkers as a contiguous component-major ``(6, N)``."""
+    return np.ascontiguousarray(walkers.reshape(len(walkers), 6).T)
+
+
+def to_walkers(components: np.ndarray) -> np.ndarray:
+    """A component-major ``(6, N)`` array as contiguous ``(N, 2, 3)``."""
+    return np.ascontiguousarray(components.T).reshape(-1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -72,68 +79,75 @@ class HeliumWavefunction:
     jastrow_b: float = 0.5  # e-e cusp condition for unlike spins
     jastrow_a: float = 0.3  # variational Pade parameter (VMC-variance optimal)
 
-    # -- formulas over one geometry pass ------------------------------------------
+    def _gradient(self, units: np.ndarray, du: np.ndarray) -> np.ndarray:
+        """grad ln psi, ``(6, N)``, from the ``(3, 3, N)`` unit vectors
+        e1, e2, e12 and u'(r12)."""
+        grad = -self.zeta * units[:2]
+        jastrow = du * units[2]
+        grad[0] += jastrow
+        grad[1] -= jastrow
+        return grad.reshape(6, -1)
 
-    def _log_psi(self, g: _Geometry) -> np.ndarray:
-        u = self.jastrow_b * g.r12 / (1.0 + self.jastrow_a * g.r12)
-        return -self.zeta * (g.r1 + g.r2) + u
+    # -- the kernel ------------------------------------------------------------
 
-    def _gradient(self, walkers: np.ndarray, g: _Geometry,
-                  du: np.ndarray) -> np.ndarray:
-        """grad ln psi wrt both electrons, shape (N, 2, 3), given u'(r12)."""
-        e1 = g.x1 / g.r1[:, None]
-        e2 = g.x2 / g.r2[:, None]
-        jastrow = du[:, None] * (g.x12 / g.r12[:, None])
-        grad = np.empty_like(walkers)
-        grad[:, 0, :] = -self.zeta * e1 + jastrow
-        grad[:, 1, :] = -self.zeta * e2 - jastrow
-        return grad
-
-    # -- wavefunction ------------------------------------------------------------
-
-    def evaluate(self, walkers: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(ln psi, grad ln psi, E_L)`` from one geometry pass.
+    @np.errstate(**SATURATE)
+    def evaluate_components(self, x: np.ndarray
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ln psi, grad ln psi, E_L)`` of a component-major ``(6, N)``
+        walker array; the gradient is component-major too.
 
         E_L = (H psi)/psi.  Overflow in the Jastrow denominators
         (corrupted walkers flung to astronomical radii) saturates to
         zero derivatives, which is the correct r -> infinity limit.
         """
-        g = _geometry(walkers)
         a, b, z = self.jastrow_a, self.jastrow_b, self.zeta
+        vectors = np.concatenate((x, x[:3] - x[3:])).reshape(3, 3, -1)
+        r = np.maximum(np.sqrt(np.add.reduce(vectors * vectors, axis=1)),
+                       R_EPS)                           # r1, r2, r12: (3, N)
+        units = vectors / r[:, None]                    # e1, e2, e12
+        r12 = r[2]
 
-        with np.errstate(over="ignore"):
-            one_plus = 1.0 + a * g.r12
-            du = b / one_plus ** 2                    # u'(r12)
-            d2u = -2.0 * a * b / one_plus ** 3        # u''(r12)
-        grad = self._gradient(walkers, g, du)
+        one_plus = 1.0 + a * r12
+        log_psi = -z * (r[0] + r[1]) + b * r12 / one_plus
+        du = b / one_plus ** 2                    # u'(r12)
+        d2u = -2.0 * a * b / one_plus ** 3        # u''(r12)
+        grad = self._gradient(units, du)
 
-        # The energy takes u' and u'' with non-finite values zeroed (NaN
-        # walkers, or the pole a < 0 puts at r12 = -1/a), and the
-        # gradient rebuilt from the zeroed u'.
+        # The energy takes u' and u'' with non-finite values zeroed
+        # (NaN walkers, or the pole a < 0 puts at r12 = -1/a), and
+        # the gradient rebuilt from the zeroed u'.
         if np.isfinite(du).all() and np.isfinite(d2u).all():
             grad_e = grad
         else:
             du = np.nan_to_num(du, posinf=0.0, neginf=0.0)
             d2u = np.nan_to_num(d2u, posinf=0.0, neginf=0.0)
-            grad_e = self._gradient(walkers, g, du)
+            grad_e = self._gradient(units, du)
 
         # Laplacians of ln psi per electron:
         #   lap_i(-Z r_i) = -2Z / r_i
         #   lap_i(u(r12)) = u'' + 2 u'/r12
-        lap = (-2.0 * z / g.r1) + (-2.0 * z / g.r2) + 2.0 * (d2u + 2.0 * du / g.r12)
+        nuclear = -2.0 * z / r[:2]
+        lap = nuclear[0] + nuclear[1] + 2.0 * (d2u + 2.0 * du / r12)
 
         # |grad_i ln psi|^2 summed over electrons.
-        g1 = grad_e[:, 0, :]
-        g2 = grad_e[:, 1, :]
-        grad_sq = (g1 * g1).sum(axis=1) + (g2 * g2).sum(axis=1)
+        grad_sq = np.add.reduce((grad_e * grad_e).reshape(2, 3, -1), axis=1)
 
-        kinetic = -0.5 * (lap + grad_sq)
-        potential = -2.0 / g.r1 - 2.0 / g.r2 + 1.0 / g.r12
-        return self._log_psi(g), grad, kinetic + potential
+        kinetic = -0.5 * (lap + (grad_sq[0] + grad_sq[1]))
+        terms = _CHARGES / r
+        potential = terms[0] - terms[1] + terms[2]
+        return log_psi, grad, kinetic + potential
+
+    # -- (N, 2, 3) adapters ----------------------------------------------------
+
+    def evaluate(self, walkers: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ln psi, grad ln psi, E_L)`` of a ``(N, 2, 3)`` walker set;
+        the gradient has the walkers' shape."""
+        log_psi, grad, e_local = self.evaluate_components(to_components(walkers))
+        return log_psi, to_walkers(grad), e_local
 
     def log_psi(self, walkers: np.ndarray) -> np.ndarray:
-        return self._log_psi(_geometry(walkers))
+        return self.evaluate(walkers)[0]
 
     def grad_log_psi(self, walkers: np.ndarray) -> np.ndarray:
         """Gradient of ln psi wrt both electrons: shape (N, 2, 3)."""

@@ -60,6 +60,7 @@ from repro.core.engine.dist.queue import (
 )
 from repro.core.engine.dist.retry import RetryPolicy
 from repro.core.engine.dist.worker import run_worker
+from repro.core.engine.executor import _place_worker
 from repro.core.engine.runner import execute_run_spec
 from repro.core.engine.sink import merge_shard_records
 from repro.core.engine.sweep import SweepPlan, SweepResult, _boundary_sorted
@@ -196,7 +197,13 @@ class Coordinator:
 def _worker_entry(root: str, plan: SweepPlan, worker_id: str,
                   poll_interval: float, io: Optional[QueueIO],
                   retry: Optional[RetryPolicy]) -> None:
-    """Module-level fork target (inherits *plan* without pickling)."""
+    """Module-level fork target (inherits *plan* without pickling).
+
+    The worker starts on its own CPU, as pool workers do
+    (:func:`~repro.core.engine.executor._place_worker`), before it
+    drains the queue.
+    """
+    _place_worker()
     run_worker(root, plan, worker_id, poll_interval=poll_interval,
                io=io, retry=retry)
 

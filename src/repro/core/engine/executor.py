@@ -67,8 +67,10 @@ def _init_worker(token, shipped) -> None:
 
 
 def _place_worker() -> None:
-    """Start this pool worker on its own CPU, then release it.
+    """Start this forked worker on its own CPU, then release it.
 
+    Pool workers call it from their initializer, and the fleet's local
+    workers from their fork target before they drain the lease queue.
     Workers fork from one parent and are woken by it, and a scheduler
     may keep them stacked on the parent's CPU for a second or more
     before it balances them out (on a 2-vCPU host, after idle, the
@@ -80,7 +82,7 @@ def _place_worker() -> None:
     """
     identity = multiprocessing.current_process()._identity
     if not identity or not hasattr(os, "sched_setaffinity"):
-        return                          # not a pool child, or no affinity API
+        return                          # not a forked child, or no affinity API
     allowed = sorted(os.sched_getaffinity(0))
     try:
         os.sched_setaffinity(0, {allowed[identity[-1] % len(allowed)]})

@@ -473,6 +473,25 @@ class TestDistributedByteIdentity:
         assert result.records == serial.records
         assert result.executed == len(plan)
 
+    def test_forked_worker_is_placed_before_it_drains(self, monkeypatch):
+        """The fleet's fork target moves the worker to its own CPU, as
+        pool workers are moved, and only then drains the queue."""
+        import repro.core.engine.dist.coordinator as coordinator_module
+
+        calls = []
+        monkeypatch.setattr(coordinator_module, "_place_worker",
+                            lambda: calls.append("place"))
+        monkeypatch.setattr(coordinator_module, "run_worker",
+                            lambda *args, **kwargs: calls.append(
+                                ("drain", args, kwargs)))
+        plan = synthetic_plan((2,))
+        coordinator_module._worker_entry("root", plan, "w00", 0.05,
+                                         None, None)
+        assert calls == ["place",
+                         ("drain", ("root", plan, "w00"),
+                          {"poll_interval": 0.05, "io": None,
+                           "retry": None})]
+
     def test_distributed_refuses_to_clobber_results(self, tmp_path):
         plan = toy_plan(n_runs=2)
         occupied = tmp_path / "dist.jsonl"

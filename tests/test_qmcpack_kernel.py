@@ -11,6 +11,7 @@ row must be equal, and corrupted restarts must fail the same way.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -375,3 +376,40 @@ def test_evaluate_matches_at_a_jastrow_pole():
     assert not np.isfinite(want[1][0]).all()
     assert np.isfinite(want[2][0])
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+#: The sets that overflow, carry NaN or inf, or put electrons on the
+#: nucleus or on each other.
+CORRUPTED = ["exponent-bits", "zeroed", "huge", "nonfinite"]
+
+
+@pytest.mark.parametrize("name", CORRUPTED)
+def test_corrupted_walkers_saturate_silently(name):
+    """Saturation is the kernel's intended limit, so projecting or
+    evaluating corrupted walkers raises no floating-point warning."""
+    walkers = dict(SETS)[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        WF.evaluate(walkers)
+        got = outcome(run_dmc, WF, walkers, DMC, dmc_rng())
+    assert got[0] == "ok", got
+
+
+#: The seed QmcpackApplication runs with by default, and so every
+#: Fig. 7 QMC run.
+APP_SEED = 2021
+
+
+def test_production_size_matches_reference():
+    """The default VmcParams()/DmcParams() sizes every Fig. 7 QMC run
+    uses (256 walkers, 1000 DMC steps), from the app's golden walkers
+    and from one seeded 2-bit flip of them."""
+    golden, rows = reference_run_vmc(REF, VmcParams(), vmc_rng(APP_SEED))
+    assert outcome(run_vmc, WF, VmcParams(), vmc_rng(APP_SEED)) == \
+        ("ok", golden.tobytes(), [repr(row) for row in rows])
+    for walkers in (golden, flipped(golden, 3, bits=2)):
+        with np.errstate(all="ignore"):
+            got = outcome(run_dmc, WF, walkers, DmcParams(), dmc_rng(APP_SEED))
+            want = outcome(reference_run_dmc, REF, walkers, DmcParams(),
+                           dmc_rng(APP_SEED))
+        assert got == want

@@ -38,7 +38,6 @@ silently dropped.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -62,7 +61,7 @@ from repro.core.engine.dist.retry import RetryPolicy
 from repro.core.engine.dist.worker import run_worker
 from repro.core.engine.executor import _place_worker
 from repro.core.engine.runner import execute_run_spec
-from repro.core.engine.sink import merge_shard_records
+from repro.core.engine.sink import merge_shard_records, refuse_overwrite
 from repro.core.engine.sweep import SweepPlan, SweepResult, _boundary_sorted
 from repro.core.outcomes import RunRecord
 from repro.errors import FFISError
@@ -265,14 +264,7 @@ def execute_distributed(plan: SweepPlan, root: str, *,
     start = time.perf_counter()
     if workers < 1:
         raise FFISError(f"need at least one worker, got {workers}")
-    if results_path is not None and not resume \
-            and os.path.exists(results_path) and os.path.getsize(results_path):
-        # Same contract as execute_sweep: refuse before any run
-        # executes rather than clobber a file full of paid-for runs.
-        raise FFISError(
-            f"{results_path} already contains results; resume it "
-            "(--resume / resume=True) or write to a fresh --out path "
-            "instead of overwriting completed runs")
+    refuse_overwrite(results_path, resume)
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError as exc:

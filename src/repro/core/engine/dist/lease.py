@@ -29,7 +29,10 @@ from repro.errors import FFISError
 #: v2: adds the ``quarantine/`` state and the manifest's
 #: ``quarantine_after`` attempt budget -- a v1 worker would wait
 #: forever on a campaign that settled around a quarantined lease.
-PROTOCOL_VERSION = 2
+#: v3: a published segment settles its lease and the ``done/`` state is
+#: gone -- a v2 worker would wait forever for ``done/`` records, and a
+#: v2 queue's settled leases have no meaning here.
+PROTOCOL_VERSION = 3
 
 
 @dataclass(frozen=True)

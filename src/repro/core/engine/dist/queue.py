@@ -7,20 +7,22 @@ hosts can both mount -- whose subdirectories *are* the lease states::
       manifest.json            plan identity + the full lease id list
       pending/<id>.json        posted, unclaimed leases
       leased/<id>.json--<w>    claimed by worker <w>; mtime = heartbeat
-      done/<id>.json           completed leases
       quarantine/<id>.json     poison leases, with a diagnostic payload
       quarantine/*.damaged     unparseable lease files, moved aside
-      shards/*.jsonl           stamped record segments, one per
-                               completed (lease, worker) pair
+      shards/seg-<id>--<w>.jsonl
+                               lease <id>'s records as worker <w> ran
+                               them; its existence settles the lease
       FINISHED                 coordinator's end-of-campaign marker
 
 Every transition is one atomic ``rename``: a claim moves a pending file
 into ``leased/`` (losers of the race get ``FileNotFoundError`` and move
-on), completion writes the ``done/`` file before releasing the claim,
-and expiry re-posts the lease value with its attempt bumped.  No state
-lives anywhere else, so a SIGKILL at *any* point leaves the queue in a
-position some later scan can repair: the worst case is a lease executed
-twice, which the shard merger deduplicates by design.
+on), publishing the lease's segment into ``shards/`` settles it -- the
+claim is released afterwards only as cleanup, and expiry drops a
+settled lease's claim instead of re-posting it -- and expiry re-posts
+an unsettled lease with its attempt bumped.  No state lives anywhere
+else, so a SIGKILL at *any* point leaves the queue in a position some
+later scan can repair.  A lease runs twice only under a live worker
+that outran its TTL, which the shard merger deduplicates by design.
 
 Two hardening layers sit under every transition (the paper's own
 methodology, turned on this engine):
@@ -54,7 +56,7 @@ import re
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine.dist.chaos import QueueIO
 from repro.core.engine.dist.lease import (
@@ -80,6 +82,11 @@ DEFAULT_QUARANTINE_AFTER = 3
 #: (kept quarantined until a human deletes the diagnosis).
 _DAMAGED_SUFFIX = ".damaged"
 
+#: Published segments are ``seg-<lease id>--<worker id>.jsonl`` (their
+#: ``.tmp`` siblings settle nothing).
+_SEGMENT_PREFIX = "seg-"
+_SEGMENT_SUFFIX = ".jsonl"
+
 _WORKER_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
@@ -90,6 +97,16 @@ def _check_worker_id(worker_id: str) -> str:
             f"not contain {_CLAIM_SEP!r} (it becomes part of queue "
             "filenames)")
     return worker_id
+
+
+def _published_leases(names: Iterable[str]) -> Set[str]:
+    """The settled set: lease filenames (``<id>.json``) that have a
+    published segment among *names*, a listing of ``shards/``."""
+    return {name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)]
+            .rsplit(_CLAIM_SEP, 1)[0] + ".json"
+            for name in names
+            if name.startswith(_SEGMENT_PREFIX)
+            and name.endswith(_SEGMENT_SUFFIX)}
 
 
 def _read_json(path: str) -> Dict[str, Any]:
@@ -123,7 +140,6 @@ class FileQueue:
         self.manifest_path = os.path.join(root, "manifest.json")
         self.pending_dir = os.path.join(root, "pending")
         self.leased_dir = os.path.join(root, "leased")
-        self.done_dir = os.path.join(root, "done")
         self.quarantine_dir = os.path.join(root, "quarantine")
         self.shards_dir = os.path.join(root, "shards")
         self.finished_path = os.path.join(root, "FINISHED")
@@ -181,7 +197,7 @@ class FileQueue:
         """Post a new queue for *plan*, or re-open a matching one.
 
         ``reuse=True`` resumes an interrupted campaign in place:
-        completed leases stay completed, orphaned claims are re-posted,
+        settled leases stay settled, orphaned claims are re-posted,
         damaged (unparseable) lease files are quarantined with a
         warning and re-posted pristine, and any lease missing from
         every state directory is posted fresh.  Without ``reuse``, an
@@ -210,7 +226,7 @@ class FileQueue:
         if quarantine_after < 1:
             raise FFISError(
                 f"quarantine_after must be >= 1, got {quarantine_after}")
-        for sub in ("pending", "leased", "done", "quarantine", "shards"):
+        for sub in ("pending", "leased", "quarantine", "shards"):
             os.makedirs(os.path.join(root, sub), exist_ok=True)
         manifest = plan_manifest(plan)
         manifest["lease_ids"] = [lease.lease_id for lease in leases]
@@ -269,13 +285,15 @@ class FileQueue:
             stacklevel=2)
 
     def _repair(self, leases: Sequence[Lease]) -> None:
-        """Resume repair: every lease must be pending, leased, done, or
-        poison-quarantined; orphaned claims go back to pending with
-        their attempt bumped; damaged files are quarantined and the
-        lease re-posted pristine."""
+        """Resume repair: every lease must be pending, leased, settled,
+        or poison-quarantined; orphaned claims go back to pending with
+        their attempt bumped (or are dropped, if their lease is
+        settled); damaged files are quarantined and the lease re-posted
+        pristine."""
+        published = self._published("claim-scan")
         for name in sorted(self._io_call(
                 "expire", lambda: self.io.listdir(self.leased_dir))):
-            self._requeue(os.path.join(self.leased_dir, name))
+            self._requeue(os.path.join(self.leased_dir, name), published)
         for name in sorted(self._io_call(
                 "claim-scan", lambda: self.io.listdir(self.pending_dir))):
             if not name.endswith(".json"):
@@ -289,8 +307,7 @@ class FileQueue:
                 self._quarantine_damaged(path, exc)
         settled = set(self._io_call(
             "claim-scan", lambda: self.io.listdir(self.pending_dir)))
-        settled |= set(self._io_call(
-            "claim-scan", lambda: self.io.listdir(self.done_dir)))
+        settled |= published
         settled |= self._quarantined_poison_names()
         for lease in leases:
             if f"{lease.lease_id}.json" not in settled:
@@ -315,18 +332,21 @@ class FileQueue:
         """
         _check_worker_id(worker_id)
         try:
-            names = sorted(self._io_call(
+            names = [name for name in sorted(self._io_call(
                 "claim-scan", lambda: self.io.listdir(self.pending_dir)))
+                if name.endswith(".json")]
         except FileNotFoundError:
             return None
+        if not names:
+            return None
+        published = _published_leases(self._io_call(
+            "claim-scan", lambda: self.io.listdir(self.shards_dir)))
         for name in names:
-            if not name.endswith(".json"):
-                continue
-            done = os.path.join(self.done_dir, name)
             source = os.path.join(self.pending_dir, name)
-            if self.io.exists(done):
-                # A completion raced an expiry re-post: the work is
-                # done, the stale pending copy is noise.
+            if name in published:
+                # A worker that outran its TTL published after expiry
+                # re-posted its lease: the lease is settled, the
+                # pending copy is noise.
                 try:
                     self.io.unlink(source)
                 except FileNotFoundError:
@@ -360,22 +380,16 @@ class FileQueue:
             pass  # expired out from under us; completion will notice
 
     def complete(self, claim: Claim) -> None:
-        """Settle the claim: record completion, then release the lease.
+        """Release the claim of a lease whose segment is published.
 
-        Written in that order so a SIGKILL between the two steps leaves
-        a ``done/`` file the expiry scan treats as authoritative (the
-        orphaned claim is cleaned up, not re-executed).
+        The publish already settled the lease; this is cleanup, so a
+        SIGKILL before it leaves a claim that expiry drops rather than
+        re-posts.
         """
-        done = claim.lease.to_dict()
-        done["worker"] = claim.worker_id
-        self._write_json(
-            "complete",
-            os.path.join(self.done_dir, f"{claim.lease.lease_id}.json"),
-            done)
         try:
             self.io.unlink(claim.path)
         except FileNotFoundError:
-            pass  # the lease expired and was re-posted; dedup absorbs it
+            pass  # expiry dropped or re-posted it first; dedup absorbs it
 
     def fail(self, claim: Claim, reason: str) -> None:
         """Give up on a claim after an infrastructure failure.
@@ -414,12 +428,16 @@ class FileQueue:
         """
         return os.path.join(
             self.shards_dir,
-            f"seg-{lease_id}{_CLAIM_SEP}"
-            f"{_check_worker_id(worker_id)}.jsonl")
+            f"{_SEGMENT_PREFIX}{lease_id}{_CLAIM_SEP}"
+            f"{_check_worker_id(worker_id)}{_SEGMENT_SUFFIX}")
 
     def publish_segment(self, path: str) -> None:
         """Atomically publish the finished segment written at
-        ``path + '.tmp'`` (the writer has already flushed + fsynced)."""
+        ``path + '.tmp'`` (the writer has already flushed + fsynced).
+
+        This rename is the lease's one settle point: from here on the
+        lease counts as done, whatever becomes of its claim.
+        """
         self._io_call("segment-publish",
                       lambda: self.io.replace(path + ".tmp", path))
 
@@ -430,17 +448,21 @@ class FileQueue:
         except FileNotFoundError:
             return []
         return [os.path.join(self.shards_dir, name)
-                for name in names if name.endswith(".jsonl")]
+                for name in names if name.endswith(_SEGMENT_SUFFIX)]
+
+    def _published(self, site: str) -> Set[str]:
+        """The settled set: lease filenames with a published segment."""
+        return _published_leases(self._io_call(
+            site, lambda: self.io.listdir(self.shards_dir)))
 
     # -- coordinator side -------------------------------------------------------
 
-    def _requeue(self, path: str) -> Optional[Lease]:
+    def _requeue(self, path: str, published: Set[str]) -> Optional[Lease]:
         """Move one leased entry back to pending (attempt bumped), or
-        quarantine it if the bump exhausts the attempt budget."""
+        quarantine it if the bump exhausts the attempt budget; only
+        drop it if its lease is *published* (settled)."""
         name = os.path.basename(path).rsplit(_CLAIM_SEP, 1)[0]
-        if self.io.exists(os.path.join(self.done_dir, name)):
-            # Completed but not released (killed between the two steps
-            # of complete()): just clean up the orphaned claim.
+        if name in published:
             try:
                 self.io.unlink(path)
             except FileNotFoundError:
@@ -479,8 +501,9 @@ class FileQueue:
         slow) worker already wrote -- the merge step deduplicates by
         ``(campaign, run index)``, so reassignment is always safe, just
         potentially wasteful.  A claim unlinked between the scan and
-        the stat (its worker completed it) is skipped, never an error.
-        Returns the re-posted leases.
+        the stat (its worker released it) is skipped, never an error; a
+        claim whose lease has a published segment is dropped whatever
+        its age, never re-posted.  Returns the re-posted leases.
         """
         if now is None:
             # repro: allow[R001] lease liveness vs file mtimes; never recorded
@@ -491,18 +514,16 @@ class FileQueue:
                 "expire", lambda: self.io.listdir(self.leased_dir)))
         except FileNotFoundError:
             return requeued
+        published = self._published("expire")
         for name in names:
             path = os.path.join(self.leased_dir, name)
             try:
                 age = now - self.io.getmtime(path)
             except OSError:
-                continue  # completed or already expired mid-scan
-            base = name.rsplit(_CLAIM_SEP, 1)[0]
-            if self.io.exists(os.path.join(self.done_dir, base)):
-                self._requeue(path)  # cleanup path: done is authoritative
-                continue
-            if age > ttl_seconds:
-                lease = self._requeue(path)
+                continue  # released or already expired mid-scan
+            if age > ttl_seconds or \
+                    name.rsplit(_CLAIM_SEP, 1)[0] in published:
+                lease = self._requeue(path, published)
                 if lease is not None:
                     requeued.append(lease)
         return requeued
@@ -519,7 +540,7 @@ class FileQueue:
     def counts(self) -> Dict[str, int]:
         return {"pending": self._count(self.pending_dir),
                 "leased": len(self._leased_names()),
-                "done": self._count(self.done_dir),
+                "done": len(self._settled_names()),
                 "quarantined": self._quarantined_count(),
                 "total": len(self.lease_ids)}
 
@@ -588,23 +609,24 @@ class FileQueue:
                         "reason": "unparseable lease file quarantined"})
         return out
 
-    def all_done(self) -> bool:
-        """Every manifest lease has a completion record."""
+    def _settled_names(self) -> Set[str]:
+        """:meth:`_published` for polls: no retries; empty while
+        ``shards/`` cannot be listed."""
         try:
-            done = set(self.io.listdir(self.done_dir))
-        except (FileNotFoundError, OSError):
-            return False
+            return _published_leases(self.io.listdir(self.shards_dir))
+        except OSError:
+            return set()
+
+    def all_done(self) -> bool:
+        """Every manifest lease has a published segment."""
+        done = self._settled_names()
         return all(f"{lease_id}.json" in done for lease_id in self.lease_ids)
 
     def settled(self) -> bool:
         """Every manifest lease is either done or quarantined: the
         campaign cannot make further progress and should wrap up
         (fully if ``all_done``, partially otherwise)."""
-        try:
-            done = set(self.io.listdir(self.done_dir))
-        except (FileNotFoundError, OSError):
-            return False
-        done |= self._quarantined_lease_names()
+        done = self._settled_names() | self._quarantined_lease_names()
         return all(f"{lease_id}.json" in done for lease_id in self.lease_ids)
 
     def idle(self) -> bool:

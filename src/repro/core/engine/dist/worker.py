@@ -3,8 +3,9 @@
 A worker is deliberately boring: it claims one lease at a time, executes
 the lease's specs through the same :func:`execute_run_spec` every other
 executor uses, streams each record into a per-lease **segment** file,
-heartbeats its claim, publishes the segment atomically, and marks the
-lease done.  All the interesting guarantees live elsewhere --
+heartbeats its claim, publishes the segment atomically -- the publish
+is what settles the lease -- and releases its claim.  All the
+interesting guarantees live elsewhere --
 determinism in the spec (any worker produces byte-identical records),
 crash recovery in the queue (an expired lease is re-posted), and dedup
 in the merge step (a re-executed lease's records collapse by
@@ -12,9 +13,10 @@ in the merge step (a re-executed lease's records collapse by
 
 Segments are the crash-consistency story for shard output: each lease's
 records are written to a ``.tmp`` sibling, flushed and fsynced, and
-only then renamed to their final ``.jsonl`` name -- *before* the lease
-is marked done.  A worker killed at any point therefore leaves either
-no segment (the lease is re-executed after expiry) or a complete one;
+only then renamed to their final ``.jsonl`` name, and that rename
+settles the lease.  A worker killed at any point therefore leaves
+either no segment (the lease is re-executed after expiry) or a
+complete one (the lease is settled; expiry drops the leftover claim);
 a half-written final line can never reach the merge step as a stray
 stamp, because the merge step only reads ``.jsonl`` files.
 

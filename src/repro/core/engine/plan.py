@@ -17,7 +17,7 @@ import hashlib
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Protocol, Tuple
 
 from repro.apps.base import GoldenRecord, HpcApplication
 from repro.fusefs.vfs import FFISFileSystem
@@ -158,7 +158,3 @@ class RunPlan:
 
     def __iter__(self) -> Iterator[RunSpec]:
         return iter(self.specs)
-
-    def subset(self, specs: Sequence[RunSpec]) -> "RunPlan":
-        """The same context over a reduced spec list (resume support)."""
-        return RunPlan(context=self.context, specs=tuple(specs))

@@ -210,6 +210,19 @@ def merge_shard_records(
     return groups, duplicates
 
 
+def refuse_overwrite(results_path: Optional[str], resume: bool) -> None:
+    """Refuse, before any run executes, to start a campaign over a
+    results file that holds runs: writing it would silently discard
+    paid-for runs.  Only a missing or empty file may be (re)started in
+    place; a populated one must be resumed."""
+    if results_path is not None and not resume and \
+            os.path.exists(results_path) and os.path.getsize(results_path):
+        raise FFISError(
+            f"{results_path} already contains results; resume it "
+            "(--resume / resume=True) or write to a fresh --out path "
+            "instead of overwriting completed runs")
+
+
 def completed_indices(path: str) -> Set[int]:
     """Run indices already present in a results file."""
     return {record.run_index for record in load_records(path)}

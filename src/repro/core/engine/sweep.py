@@ -47,6 +47,7 @@ from repro.core.engine.sink import (
     JsonlSink,
     ResultSink,
     load_records_by_campaign,
+    refuse_overwrite,
 )
 from repro.core.outcomes import RunRecord
 from repro.errors import FFISError
@@ -331,15 +332,7 @@ def execute_sweep(plan: SweepPlan, *,
     start = time.perf_counter()
     if resume and results_path is None:
         raise FFISError("resume=True requires results_path")
-    if results_path is not None and not resume and \
-            os.path.exists(results_path) and os.path.getsize(results_path):
-        # Opening with mode "w" here would silently discard a file full
-        # of paid-for runs -- hours of campaign time gone to a missing
-        # flag.  Only an empty file may be (re)started in place.
-        raise FFISError(
-            f"{results_path} already contains results; resume it "
-            "(--resume / resume=True) or write to a fresh --out path "
-            "instead of overwriting completed runs")
+    refuse_overwrite(results_path, resume)
     if results_path is not None and len(plan.cells) > 1:
         unstamped = [cell.key for cell in plan.cells
                      if cell.campaign_id is None]

@@ -22,7 +22,7 @@ in the run; :mod:`repro.devtools.lint.wholeprogram`):
 * ``R007`` fork-effect-safety    -- no module-global writes reachable
   from a fork/spawn entry point (outside the sanctioned registries)
 * ``R008`` queue-protocol        -- lease-queue state dirs change only
-  through claim-by-rename / done-file-authoritative transitions
+  through claim-by-rename / segment-publish-settles transitions
 * ``R009`` shutdown-soundness    -- explicit releases after an acquire
   (FINISHED marker, shard close) are finally-dominated
 * ``R010`` sink-plan-order       -- no record emission driven by a raw

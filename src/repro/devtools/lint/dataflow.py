@@ -45,10 +45,10 @@ from repro.devtools.lint.callgraph import (
 )
 
 #: Queue state directories and the attribute / path-literal spellings
-#: that denote them.  ``shards`` is tracked too: shard files are the
-#: record stream itself.
+#: that denote them.  ``shards`` is tracked too: a published segment is
+#: both the record stream and the lease's completion record.
 STATE_DIR_ATTRS = {
-    "pending_dir": "pending", "leased_dir": "leased", "done_dir": "done",
+    "pending_dir": "pending", "leased_dir": "leased",
     "shards_dir": "shards", "quarantine_dir": "quarantine",
 }
 STATE_DIR_NAMES = frozenset(STATE_DIR_ATTRS.values())
@@ -122,10 +122,11 @@ class FsOp:
     #: function later renames into place (the sanctioned atomic
     #: publish).
     atomic_publish: bool = False
-    #: unlink only: an ``os.path.exists``/``isfile`` probe of a
-    #: done-derived path appears earlier in the function (the
-    #: done-file-authoritative guard).
-    done_guarded: bool = False
+    #: unlink only: a probe of ``shards/`` -- ``os.path.exists`` /
+    #: ``isfile`` of a segment path or ``os.listdir`` of the directory
+    #: -- appears earlier in the function (the published-segment-
+    #: authoritative guard).
+    shards_probed: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -212,8 +213,8 @@ class _FunctionScanner:
         self.global_decls = self._collect_global_decls()
         #: Simple env: local name -> the expression last assigned to it.
         self.env: Dict[str, ast.AST] = {}
-        #: Lines of done-path existence probes seen so far.
-        self._done_check_lines: List[int] = []
+        #: Lines of shards/ probes seen so far.
+        self._shards_probe_lines: List[int] = []
         #: Raw open_w ops pending the atomic-publish resolution.
         self._open_ops: List[Tuple[FsOp, FrozenSet[str]]] = []
         self._rename_src_roots: List[FrozenSet[str]] = []
@@ -431,12 +432,12 @@ class _FunctionScanner:
         elif fs_call in ("os.unlink", "os.remove"):
             if node.args:
                 roots = self.roots_of(node.args[0])
-                guarded = bool(self._done_check_lines) and \
-                    min(self._done_check_lines) < node.lineno
+                probed = bool(self._shards_probe_lines) and \
+                    min(self._shards_probe_lines) < node.lineno
                 self.summary.fs_ops.append(FsOp(
                     kind="unlink", line=node.lineno,
                     col=node.col_offset + 1, path_roots=roots,
-                    done_guarded=guarded))
+                    shards_probed=probed))
         elif fs_call == "io.open_w":
             # The seam's open-for-write: no mode argument, always a
             # binary write handle.
@@ -453,10 +454,10 @@ class _FunctionScanner:
                 op = FsOp(kind="open_w", line=node.lineno,
                           col=node.col_offset + 1, path_roots=roots)
                 self._open_ops.append((op, roots))
-        elif fs_call in ("os.path.exists", "os.path.isfile"):
+        elif fs_call in ("os.path.exists", "os.path.isfile", "os.listdir"):
             if node.args and \
-                    "done" in state_roots(self.roots_of(node.args[0])):
-                self._done_check_lines.append(node.lineno)
+                    "shards" in state_roots(self.roots_of(node.args[0])):
+                self._shards_probe_lines.append(node.lineno)
 
         # Call sites + parameter bindings into project functions.
         callee = self._resolve_callee(node)

@@ -11,8 +11,9 @@ enforce only exist across function and module boundaries:
   capture-then-fork registries may be written there.
 * **R008** (queue-protocol conformance): the lease queue's crash
   story holds only if *every* mutation of its state directories goes
-  through claim-by-atomic-rename and done-file-authoritative
-  completion.  A raw in-place write or an unguarded unlink anywhere --
+  through claim-by-atomic-rename and completion by publishing the
+  lease's segment, the one authoritative completion record.  A raw
+  in-place write or an unguarded unlink anywhere --
   including through a helper the path was passed to -- reopens the
   torn-state windows the protocol closed.
 * **R009** (shutdown soundness): a function that acquires a
@@ -130,15 +131,15 @@ class QueueProtocolRule(ProjectRule):
     id = "R008"
     name = "queue-protocol"
     rationale = ("raw filesystem mutations under pending/, leased/, "
-                 "done/, or shards/ that bypass claim-by-atomic-rename "
-                 "or done-file-authoritative completion reopen the "
-                 "torn-state crash windows the protocol closed")
+                 "or shards/ that bypass claim-by-atomic-rename or "
+                 "completion by segment publish reopen the torn-state "
+                 "crash windows the protocol closed")
     scope = Scope(include=("*repro/core/*", "*repro/apps/*"),
                   exclude=_DEVTOOLS)
 
     #: Legal direct state-to-state renames: claiming, re-posting, and
     #: quarantining a damaged or poison lease.  Completion never renames
-    #: into done/ directly -- it publishes a tmp sibling (detected via
+    #: into shards/ directly -- it publishes a tmp sibling (detected via
     #: the ``suffixed`` provenance marker).
     legal_renames = frozenset({("pending", "leased"),
                                ("leased", "pending"),
@@ -172,24 +173,25 @@ class QueueProtocolRule(ProjectRule):
     def _check_rename(self, op, relpath: str) -> Iterator[Violation]:
         src = state_roots(op.src_roots)
         dst = state_roots(op.dst_roots)
-        if "done" in src:
+        if "shards" in src and "shards" not in dst:
             yield self.project_violation(
                 relpath, op.line, op.col,
-                "moves an entry out of done/: done files are the "
-                "authoritative completion record and must never be "
+                "moves an entry out of shards/: published segments are "
+                "the authoritative completion record and must never be "
                 "renamed away")
             return
-        if "done" in dst and "suffixed" not in op.src_roots:
+        if "shards" in dst and "suffixed" not in op.src_roots:
             yield self.project_violation(
                 relpath, op.line, op.col,
-                "renames directly into done/: completion must publish "
+                "renames directly into shards/: a segment must publish "
                 "through a tmp sibling (write then os.replace) so a "
-                "crash never leaves a torn done file")
+                "crash never leaves a torn segment that settles its "
+                "lease")
             return
         if "suffixed" in op.src_roots:
             return   # tmp-sibling atomic publish: always sanctioned
-        for s in sorted(src - {"done"}):
-            for d in sorted(dst - {"done"}):
+        for s in sorted(src):
+            for d in sorted(dst):
                 if s != d and (s, d) not in self.legal_renames:
                     yield self.project_violation(
                         relpath, op.line, op.col,
@@ -200,19 +202,19 @@ class QueueProtocolRule(ProjectRule):
 
     def _check_unlink(self, op, relpath: str) -> Iterator[Violation]:
         states = state_roots(op.path_roots)
-        if "done" in states:
+        if "shards" in states:
             yield self.project_violation(
                 relpath, op.line, op.col,
-                "unlinks a done/ entry: done files are the "
-                "authoritative completion record; deleting one "
+                "unlinks a published segment under shards/: segments "
+                "are the authoritative completion record; deleting one "
                 "re-executes paid-for work")
-        elif states & {"pending", "leased"} and not op.done_guarded:
+        elif states & {"pending", "leased"} and not op.shards_probed:
             which = "/".join(sorted(states & {"pending", "leased"}))
             yield self.project_violation(
                 relpath, op.line, op.col,
-                f"unlinks a {which}/ entry without first checking its "
-                "done/ record exists; an unguarded delete can discard "
-                "the only copy of an unfinished lease")
+                f"unlinks a {which}/ entry without first probing shards/ "
+                "for its published segment; an unguarded delete can "
+                "discard the only copy of an unfinished lease")
 
     def _check_helper_passes(self, analysis: ProjectAnalysis,
                              summary: Summary,

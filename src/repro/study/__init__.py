@@ -50,7 +50,6 @@ _EXPORTS: Dict[str, Tuple[str, str]] = {
     "Study": ("repro.study.study", "Study"),
     "StudyPlan": ("repro.study.study", "StudyPlan"),
     "run_study": ("repro.study.study", "run_study"),
-    "run_distributed": ("repro.study.dist", "run_distributed"),
     "run_study_worker": ("repro.study.dist", "run_study_worker"),
     "serve_study": ("repro.study.dist", "serve_study"),
 }
@@ -77,7 +76,6 @@ __all__ = [
     "register_app",
     "register_study",
     "resolve_app_factory",
-    "run_distributed",
     "run_study",
     "run_study_worker",
     "serve_study",

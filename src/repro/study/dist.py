@@ -5,15 +5,12 @@ The study layer's contribution to distribution is *identity*: a
 worker on another host can rebuild the exact plan the coordinator is
 serving -- same apps, same seeds, same specs -- from the spec alone,
 and the queue manifest verifies the rebuild before a single run
-executes.  Three entry points:
+executes.  The local, forked-worker form is
+``StudyPlan.execute(hosts=...)``; this module holds the cross-host
+form's two halves:
 
-* :func:`run_distributed` -- the local form: fork ``hosts`` worker
-  processes over an already-compiled plan and return a
-  :class:`~repro.study.resultset.ResultSet` identical to ``workers=1``
-  serial execution (``StudyPlan.execute(hosts=...)`` calls this);
-* :func:`serve_study` -- the coordinator half of the cross-host form:
-  post leases, expire stale claims, merge when the fleet finishes
-  (``repro study serve``);
+* :func:`serve_study` -- the coordinator half: post leases, expire
+  stale claims, merge when the fleet finishes (``repro study serve``);
 * :func:`run_study_worker` -- the worker half: rebuild the plan from
   the spec and drain leases until the coordinator calls it
   (``repro worker``).
@@ -22,72 +19,23 @@ executes.  Three entry points:
 from __future__ import annotations
 
 import os
-import tempfile
 import time
 from typing import Callable, Dict, Mapping, Optional
 
+from repro.core.engine import SweepResult
 from repro.core.engine.dist import (
     DEFAULT_QUARANTINE_AFTER,
     Coordinator,
     DegradationReport,
     WorkerStats,
-    execute_distributed,
     run_worker,
 )
+from repro.core.engine.sink import refuse_overwrite
 from repro.errors import FFISError
 from repro.fusefs.vfs import FFISFileSystem
 from repro.study.resultset import ResultSet
 from repro.study.spec import StudySpec
 from repro.study.study import Study, StudyPlan
-
-
-def _result_set(plan: StudyPlan, records, executed: int,
-                elapsed_seconds: float,
-                degradation=None) -> ResultSet:
-    return ResultSet(
-        {cell.key: records[cell.key] for cell in plan.cells},
-        info=plan.cell_info(),
-        fault_free_runs=plan.cache.fault_free_runs(),
-        executed=executed,
-        elapsed_seconds=elapsed_seconds,
-        degradation=degradation)
-
-
-def run_distributed(plan: StudyPlan, *,
-                    hosts: int = 2,
-                    queue_root: Optional[str] = None,
-                    lease_runs: Optional[int] = None,
-                    lease_ttl: float = 30.0,
-                    results_path: Optional[str] = None,
-                    resume: bool = False,
-                    poll_interval: float = 0.05,
-                    timeout: Optional[float] = None,
-                    quarantine_after: int = DEFAULT_QUARANTINE_AFTER
-                    ) -> ResultSet:
-    """Execute a compiled study across *hosts* forked local workers.
-
-    Records, ordering, and the checkpoint file (when *results_path* is
-    given) are byte-identical to serial execution; a worker SIGKILLed
-    mid-lease costs wall-clock time, never records.  *queue_root*
-    defaults to a throwaway directory; pass one explicitly to make the
-    campaign resumable after a coordinator crash.  A campaign that had
-    to take any fallback (poison-lease quarantine, shrunken fleet,
-    in-process draining) reports it on ``result.degradation``.
-    """
-    if queue_root is None:
-        if resume:
-            raise FFISError(
-                "resume=True needs the queue_root of the interrupted "
-                "campaign; a fresh throwaway queue has nothing to resume")
-        queue_root = tempfile.mkdtemp(prefix="repro-queue-")
-    sweep = execute_distributed(
-        plan.sweep, queue_root, workers=hosts, lease_runs=lease_runs,
-        lease_ttl=lease_ttl, results_path=results_path, resume=resume,
-        poll_interval=poll_interval, timeout=timeout,
-        quarantine_after=quarantine_after)
-    return _result_set(plan, sweep.records, sweep.executed,
-                       sweep.elapsed_seconds,
-                       degradation=sweep.degradation)
 
 
 def serve_study(plan: StudyPlan, queue_root: str, *,
@@ -116,12 +64,7 @@ def serve_study(plan: StudyPlan, queue_root: str, *,
     holes written to a machine-readable report beside the checkpoint,
     and the result's ``degradation`` naming what is missing.
     """
-    if results_path is not None and not resume \
-            and os.path.exists(results_path) and os.path.getsize(results_path):
-        raise FFISError(
-            f"{results_path} already contains results; resume it "
-            "(--resume / resume=True) or write to a fresh --out path "
-            "instead of overwriting completed runs")
+    refuse_overwrite(results_path, resume)
     # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
     start = time.perf_counter()
     coordinator = Coordinator(plan.sweep, queue_root, lease_runs=lease_runs,
@@ -159,8 +102,9 @@ def serve_study(plan: StudyPlan, queue_root: str, *,
         degradation.holes = stats.holes
     # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
     elapsed = time.perf_counter() - start
-    return _result_set(plan, merged, stats.total, elapsed,
-                       degradation=degradation)
+    return plan.result_set(SweepResult(
+        records=merged, executed=stats.total, elapsed_seconds=elapsed,
+        degradation=degradation))
 
 
 def run_study_worker(queue_root: str, spec: StudySpec, *,

@@ -13,6 +13,7 @@ and parallel execution behave identically everywhere.
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -22,9 +23,11 @@ from repro.core.engine import (
     ProfileGoldenCache,
     SweepCell,
     SweepPlan,
+    SweepResult,
     execute_sweep,
 )
 from repro.core.metadata_campaign import MetadataCampaign, MetadataWriteInfo
+from repro.errors import FFISError
 from repro.fusefs.vfs import FFISFileSystem
 from repro.study.apps import resolve_app_factory
 from repro.study.resultset import CellInfo, ResultSet
@@ -94,7 +97,6 @@ class StudyPlan:
                 results_path: Optional[str] = None,
                 resume: Optional[bool] = None,
                 progress: Optional[Callable[[int, int], None]] = None,
-                executor=None,
                 hosts: Optional[int] = None,
                 queue_root: Optional[str] = None,
                 lease_runs: Optional[int] = None,
@@ -107,38 +109,53 @@ class StudyPlan:
         re-executing only the missing (cell, run index) pairs.
 
         ``hosts > 1`` switches to the lease-queue distributed engine
-        (:mod:`repro.study.dist`): the plan is sharded into leases,
-        drained by forked worker processes through the queue directory
-        at ``queue_root`` (a throwaway default), and merged back into a
-        result -- and checkpoint -- byte-identical to serial execution.
+        (:func:`~repro.core.engine.dist.execute_distributed`): the plan
+        is sharded into leases, drained by ``hosts`` forked worker
+        processes through the queue directory at ``queue_root`` (a
+        throwaway default, so resuming needs an explicit one), and
+        merged back into a result -- and checkpoint -- byte-identical
+        to serial execution.  Fallbacks the fleet took are reported on
+        ``result.degradation``.
         """
         spec = self.spec
+        results_path = spec.out if results_path is None else results_path
+        resume = spec.resume if resume is None else resume
         if hosts is not None and hosts > 1:
-            from repro.study.dist import run_distributed
+            from repro.core.engine.dist import (
+                DEFAULT_QUARANTINE_AFTER,
+                execute_distributed,
+            )
 
-            dist_knobs = {}
-            if quarantine_after is not None:
-                dist_knobs["quarantine_after"] = quarantine_after
-            return run_distributed(
-                self, hosts=hosts, queue_root=queue_root,
+            if queue_root is None:
+                if resume:
+                    raise FFISError(
+                        "resume=True needs the queue_root of the "
+                        "interrupted campaign; a fresh throwaway queue "
+                        "has nothing to resume")
+                queue_root = tempfile.mkdtemp(prefix="repro-queue-")
+            sweep = execute_distributed(
+                self.sweep, queue_root, workers=hosts,
                 lease_runs=lease_runs, lease_ttl=lease_ttl,
-                results_path=spec.out if results_path is None
-                else results_path,
-                resume=spec.resume if resume is None else resume,
-                **dist_knobs)
-        sweep = execute_sweep(
-            self.sweep,
-            executor=executor,
-            workers=spec.workers if workers is None else workers,
-            results_path=spec.out if results_path is None else results_path,
-            resume=spec.resume if resume is None else resume,
-            progress=progress)
+                results_path=results_path, resume=resume,
+                quarantine_after=DEFAULT_QUARANTINE_AFTER
+                if quarantine_after is None else quarantine_after)
+        else:
+            sweep = execute_sweep(
+                self.sweep,
+                workers=spec.workers if workers is None else workers,
+                results_path=results_path, resume=resume,
+                progress=progress)
+        return self.result_set(sweep)
+
+    def result_set(self, sweep: SweepResult) -> ResultSet:
+        """The study's view of one execution's records and bookkeeping."""
         return ResultSet(
             {cell.key: sweep.records[cell.key] for cell in self.cells},
             info=self.cell_info(),
             fault_free_runs=self.cache.fault_free_runs(),
             executed=sweep.executed,
-            elapsed_seconds=sweep.elapsed_seconds)
+            elapsed_seconds=sweep.elapsed_seconds,
+            degradation=sweep.degradation)
 
     def campaign_results(self, results: ResultSet) -> Dict[str, CampaignResult]:
         """Adapt a result set to per-cell :class:`CampaignResult`\\ s
@@ -269,15 +286,13 @@ class Study:
             results_path: Optional[str] = None,
             resume: Optional[bool] = None,
             progress: Optional[Callable[[int, int], None]] = None,
-            executor=None,
             hosts: Optional[int] = None,
             queue_root: Optional[str] = None,
             quarantine_after: Optional[int] = None) -> ResultSet:
         """``plan().execute(...)`` in one call."""
         return self.plan().execute(workers=workers, results_path=results_path,
                                    resume=resume, progress=progress,
-                                   executor=executor, hosts=hosts,
-                                   queue_root=queue_root,
+                                   hosts=hosts, queue_root=queue_root,
                                    quarantine_after=quarantine_after)
 
 

@@ -54,7 +54,7 @@ from repro.core.engine.dist import (
 from repro.core.engine.sink import JsonlSink
 from repro.errors import FFISError
 
-from tests.test_dist import synth_record, synthetic_plan, toy_plan
+from tests.test_dist import settle, synth_record, synthetic_plan, toy_plan
 
 
 # -- FaultSpec / FaultyIO -------------------------------------------------------
@@ -271,7 +271,7 @@ class TestDamagedQueueResume:
             if claim is None:
                 break
             drained.append(claim.lease.lease_id)
-            queue.complete(claim)
+            settle(queue, claim)
         assert drained == [lease.lease_id for lease in leases]
         assert queue.all_done()
 
@@ -311,7 +311,7 @@ class TestPoisonQuarantine:
         assert diag["reason"] == "segment write blew up again"
         assert diag["worker"] == "w0"
         survivor = queue.claim("w1")
-        queue.complete(survivor)
+        settle(queue, survivor)
         assert queue.settled() and not queue.all_done()
 
     def test_expiry_quarantines_past_the_attempt_budget(self, tmp_path):

@@ -37,7 +37,11 @@ from repro.core.engine import (
     iter_stamped_records,
 )
 from repro.core.engine.dist import (
+    ChaosCrash,
+    Claim,
     Coordinator,
+    FaultSpec,
+    FaultyIO,
     FileQueue,
     Lease,
     default_lease_runs,
@@ -49,6 +53,7 @@ from repro.core.engine.dist import (
     verify_manifest,
     write_merged,
 )
+from repro.core.engine.runner import execute_run_spec
 from repro.core.engine.sink import JsonlSink
 from repro.core.outcomes import Outcome, RunRecord
 from repro.errors import FFISError
@@ -93,6 +98,23 @@ def synth_record(key: str, index: int) -> RunRecord:
     """Deterministic in ``(cell, run index)``, like real runs."""
     return RunRecord(run_index=index, outcome=Outcome.BENIGN,
                      detail=f"{key}:{index}")
+
+
+def settle(queue: FileQueue, claim: Claim) -> None:
+    """Settle *claim* the way a worker does: publish a segment holding
+    the records of the lease's range (synthetic-plan positions are run
+    indices), then release the claim."""
+    lease = claim.lease
+    path = queue.segment_path(claim.worker_id, lease.lease_id)
+    sink = JsonlSink(path + ".tmp")
+    try:
+        for index in range(lease.start, lease.stop):
+            sink.emit_stamped(synth_record(lease.cell_key, index),
+                              lease.campaign_id)
+    finally:
+        sink.close()
+    queue.publish_segment(path)
+    queue.complete(claim)
 
 
 class TestLease:
@@ -163,6 +185,18 @@ class TestFileQueue:
         assert counts == {"pending": len(leases), "leased": 0, "done": 0,
                           "quarantined": 0, "total": len(leases)}
         assert not queue.all_done() and queue.finished() is False
+        assert sorted(os.listdir(queue.root)) == [
+            "leased", "manifest.json", "pending", "quarantine", "shards"]
+
+    def test_resume_refuses_a_v2_queue(self, tmp_path):
+        """A v2 queue settled its leases through done/ records this
+        protocol no longer reads: resuming one is refused, not
+        misread."""
+        plan, leases, queue = self.queue(tmp_path)
+        with open(queue.manifest_path, "w", encoding="utf-8") as f:
+            json.dump(dict(queue.manifest, protocol=2), f)
+        with pytest.raises(FFISError, match="lease protocol 2"):
+            FileQueue.create(queue.root, plan, leases, reuse=True)
 
     def test_root_without_manifest_is_not_a_queue(self, tmp_path):
         with pytest.raises(FFISError, match="not a lease queue"):
@@ -188,7 +222,7 @@ class TestFileQueue:
             if claim is None:
                 break
             seen.append(claim.lease.lease_id)
-            queue.complete(claim)
+            settle(queue, claim)
         assert seen == [lease.lease_id for lease in leases]
         assert queue.all_done() and queue.idle()
 
@@ -253,15 +287,17 @@ class TestFileQueue:
         assert requeued.attempt == 1
         again = queue.claim("alive")
         assert again.lease == requeued
-        queue.complete(again)
+        settle(queue, again)
         assert queue.all_done()
 
-    def test_done_file_is_authoritative_over_stale_claims(self, tmp_path):
-        """SIGKILL between complete()'s two steps: the done file exists,
-        the claim lingers -- expiry must clean up, not re-execute."""
+    def test_published_segment_is_authoritative_over_stale_claims(
+            self, tmp_path):
+        """SIGKILL between publishing the segment and releasing the
+        claim: the segment exists, the claim lingers -- expiry must
+        clean up, not re-execute."""
         _, _, queue = self.queue(tmp_path, sizes=(2,), lease_runs=2)
         claim = queue.claim("w0")
-        queue.complete(claim)
+        settle(queue, claim)
         # Resurrect the claim file as if the unlink never happened.
         with open(claim.path, "w", encoding="utf-8") as f:
             json.dump(claim.lease.to_dict(), f)
@@ -270,12 +306,11 @@ class TestFileQueue:
         assert queue.all_done()
 
     def test_claim_skips_and_cleans_completed_leases(self, tmp_path):
-        """A completion that raced an expiry re-post leaves a stale
-        pending copy; claiming it again would re-execute paid-for
-        work."""
+        """A publish that raced an expiry re-post leaves a stale pending
+        copy; claiming it again would re-execute paid-for work."""
         _, leases, queue = self.queue(tmp_path, sizes=(2,), lease_runs=2)
         claim = queue.claim("w0")
-        queue.complete(claim)
+        settle(queue, claim)
         queue._post(leases[0])  # the racing re-post
         assert queue.claim("w1") is None
         assert queue.counts()["pending"] == 0
@@ -283,7 +318,7 @@ class TestFileQueue:
     def test_reuse_requeues_orphans_and_clears_finished(self, tmp_path):
         plan, leases, queue = self.queue(tmp_path, sizes=(4,), lease_runs=2)
         done = queue.claim("w0")
-        queue.complete(done)
+        settle(queue, done)
         queue.claim("w0")          # orphaned: never completed
         queue.mark_finished()
         resumed = FileQueue.create(str(tmp_path / "q"), plan, leases,
@@ -580,10 +615,13 @@ class TestWorkerDeath:
             with open(os.path.join(queue.shards_dir, name), "rb") as f:
                 wa_lines += f.read().count(b"\n")
 
-        leased_before = queue.counts()["leased"]
         requeued = queue.expire_stale(0.0, now=time.time() + 10)
-        if leased_before:
-            assert requeued, "the dead worker's claim was not reassigned"
+        # A claim left behind is either unfinished (re-posted) or its
+        # segment is already published (dropped, never re-posted).
+        assert queue.counts()["leased"] == 0
+        published = {name[len("seg-"):].split("--")[0]
+                     for name in published_by_wa()}
+        assert not published & {lease.lease_id for lease in requeued}
 
         stats = run_worker(root, plan, "wb", poll_interval=0.01,
                            max_idle_polls=50)
@@ -592,9 +630,10 @@ class TestWorkerDeath:
         merged, merge_stats = coordinator.finish(results_path=dist_path)
         assert filecmp.cmp(serial_path, dist_path, shallow=False)
         # Zero lost: byte identity already proves it.  Zero duplicated:
-        # segments publish atomically per completed lease, so the dead
-        # worker's in-flight tmp segment never enters the merge and the
-        # leases partition the plan disjointly.
+        # segments publish atomically per completed lease and the
+        # publish settles the lease, so the dead worker's in-flight tmp
+        # segment never enters the merge, expiry never re-posts a
+        # published lease, and the leases partition the plan disjointly.
         assert merge_stats.duplicates == 0
         pairs = [(stamp, record.run_index)
                  for _, stamp, record in iter_stamped_records(dist_path)]
@@ -617,6 +656,74 @@ class TestWorkerDeath:
         killer.join(timeout=60)
         assert filecmp.cmp(serial_path, dist_path, shallow=False)
         assert result.executed == len(plan)
+
+
+class TestSettlePoint:
+    """Publishing a lease's segment is the one step that settles it."""
+
+    def serial(self, tmp_path, plan):
+        path = str(tmp_path / "serial.jsonl")
+        execute_sweep(plan, results_path=path)
+        return path
+
+    def test_crash_right_after_publish_duplicates_nothing(self, tmp_path):
+        """Rename-then-crash on the first segment publish: the worker
+        dies holding the claim of a lease whose segment is published.
+        Expiry drops that claim instead of re-posting it, so a peer's
+        drain re-executes nothing."""
+        plan = toy_plan()
+        serial_path = self.serial(tmp_path, plan)
+        root = str(tmp_path / "queue")
+        coordinator = Coordinator(plan, root, lease_runs=2)
+        queue = coordinator.post()
+        io_ = FaultyIO(3, [FaultSpec(site="replace", kind="crash",
+                                     match="seg-", max_faults=1)])
+        with pytest.raises(ChaosCrash):
+            run_worker(root, plan, "wa", io=io_, max_idle_polls=3)
+        assert [e.kind for e in io_.events] == ["crash"]
+        assert queue.counts()["leased"] == 1
+        assert queue.expire_stale(0.0, now=time.time() + 10) == []
+        assert queue.counts()["leased"] == 0
+        run_worker(root, plan, "wb", max_idle_polls=3)
+        dist_path = str(tmp_path / "dist.jsonl")
+        _, stats = coordinator.finish(results_path=dist_path)
+        assert stats.duplicates == 0
+        assert filecmp.cmp(serial_path, dist_path, shallow=False)
+
+    def test_live_worker_past_its_ttl_is_the_one_duplicate_source(
+            self, tmp_path):
+        """A worker that outruns its TTL keeps running after expiry
+        re-posts its lease; a peer re-executes the lease, and the late
+        segment duplicates exactly that lease's runs -- which the merge
+        drops, byte-identically."""
+        plan = toy_plan()
+        serial_path = self.serial(tmp_path, plan)
+        root = str(tmp_path / "queue")
+        coordinator = Coordinator(plan, root, lease_runs=2)
+        queue = coordinator.post()
+        slow = queue.claim("slow")
+        (requeued,) = queue.expire_stale(0.0, now=time.time() + 10)
+        assert requeued.lease_id == slow.lease.lease_id
+        run_worker(root, plan, "peer", max_idle_polls=3)
+        assert queue.all_done()
+
+        lease = slow.lease
+        cell = {cell.key: cell for cell in plan.cells}[lease.cell_key]
+        path = queue.segment_path("slow", lease.lease_id)
+        sink = JsonlSink(path + ".tmp")
+        try:
+            for spec in cell.plan.specs[lease.start:lease.stop]:
+                sink.emit_stamped(execute_run_spec(cell.plan.context, spec),
+                                  lease.campaign_id)
+        finally:
+            sink.close()
+        queue.publish_segment(path)
+        queue.complete(slow)
+
+        dist_path = str(tmp_path / "dist.jsonl")
+        _, stats = coordinator.finish(results_path=dist_path)
+        assert stats.duplicates == len(lease)
+        assert filecmp.cmp(serial_path, dist_path, shallow=False)
 
 
 def _kill_one_worker_once(root: str) -> None:
@@ -671,10 +778,8 @@ class TestStudyDistributed:
 
     def test_resume_without_queue_root_is_an_error(self, tmp_path):
         plan = Study(self.toy_spec(), apps=self.apps()).plan()
-        from repro.study import run_distributed
-
         with pytest.raises(FFISError, match="queue_root"):
-            run_distributed(plan, hosts=2, resume=True)
+            plan.execute(hosts=2, resume=True)
 
     def test_figure7_distributed_matches_serial_fixture(self, tmp_path):
         """The ISSUE's acceptance criterion: a 2-worker distributed

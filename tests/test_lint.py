@@ -469,16 +469,16 @@ class TestR008QueueProtocol:
         (hit,) = rule_hits(report, "R008")
         assert "raw_write" in hit.message
 
-    def test_fires_on_rename_into_done(self, tmp_path):
+    def test_fires_on_rename_into_shards(self, tmp_path):
         report = lint_source(tmp_path, """
             import os
 
             def settle(root, name):
                 os.rename(os.path.join(root, "leased", name),
-                          os.path.join(root, "done", name))
+                          os.path.join(root, "shards", name))
         """)
         (hit,) = rule_hits(report, "R008")
-        assert "done/" in hit.message
+        assert "renames directly into shards/" in hit.message
 
     def test_fires_on_unguarded_pending_unlink(self, tmp_path):
         report = lint_source(tmp_path, """
@@ -488,7 +488,17 @@ class TestR008QueueProtocol:
                 os.unlink(os.path.join(root, "pending", name))
         """)
         (hit,) = rule_hits(report, "R008")
-        assert "done/" in hit.message
+        assert "probing shards/" in hit.message
+
+    def test_fires_on_segment_unlink(self, tmp_path):
+        report = lint_source(tmp_path, """
+            import os
+
+            def forget(root, name):
+                os.unlink(os.path.join(root, "shards", name))
+        """)
+        (hit,) = rule_hits(report, "R008")
+        assert "published segment" in hit.message
 
     def test_atomic_publish_is_clean(self, tmp_path):
         report = lint_source(tmp_path, """
@@ -503,15 +513,26 @@ class TestR008QueueProtocol:
         """)
         assert not rule_hits(report, "R008")
 
-    def test_done_guarded_unlink_is_clean(self, tmp_path):
+    def test_shards_probed_unlink_is_clean(self, tmp_path):
+        report = lint_source(tmp_path, """
+            import os
+
+            def drop(root, segment, name):
+                if os.path.exists(os.path.join(root, "shards", segment)):
+                    os.unlink(os.path.join(root, "pending", name))
+        """)
+        assert not rule_hits(report, "R008")
+
+    def test_probe_after_the_unlink_does_not_guard_it(self, tmp_path):
         report = lint_source(tmp_path, """
             import os
 
             def drop(root, name):
-                if os.path.exists(os.path.join(root, "done", name)):
-                    os.unlink(os.path.join(root, "pending", name))
+                os.unlink(os.path.join(root, "leased", name))
+                return os.listdir(os.path.join(root, "shards"))
         """)
-        assert not rule_hits(report, "R008")
+        (hit,) = rule_hits(report, "R008")
+        assert "leased/" in hit.message
 
     def test_pragma_suppresses(self, tmp_path):
         report = lint_source(tmp_path, """
@@ -551,16 +572,28 @@ class TestR008QueueProtocol:
         """)
         assert not rule_hits(report, "R008")
 
-    def test_seam_rename_out_of_done_fires(self, tmp_path):
+    def test_seam_rename_out_of_shards_fires(self, tmp_path):
         report = lint_source(tmp_path, """
             import os
 
             def rollback(io, root, name):
-                io.replace(os.path.join(root, "done", name),
+                io.replace(os.path.join(root, "shards", name),
                            os.path.join(root, "pending", name))
         """)
         (hit,) = rule_hits(report, "R008")
-        assert "done/" in hit.message
+        assert "out of shards/" in hit.message
+
+    def test_seam_segment_publish_is_clean(self, tmp_path):
+        report = lint_source(tmp_path, """
+            import os
+
+            def publish(io, root, name, payload):
+                path = os.path.join(root, "shards", name)
+                f = io.open_w(path + ".tmp")
+                io.write(f, payload)
+                io.replace(path + ".tmp", path)
+        """)
+        assert not rule_hits(report, "R008")
 
     def test_seam_quarantine_rename_is_clean(self, tmp_path):
         report = lint_source(tmp_path, """
@@ -581,14 +614,14 @@ class TestR008QueueProtocol:
                 io.unlink(os.path.join(root, "pending", name))
         """)
         (hit,) = rule_hits(report, "R008")
-        assert "done/" in hit.message
+        assert "probing shards/" in hit.message
 
-    def test_seam_done_guarded_unlink_is_clean(self, tmp_path):
+    def test_seam_shards_probed_unlink_is_clean(self, tmp_path):
         report = lint_source(tmp_path, """
             import os
 
             def drop(io, root, name):
-                if io.exists(os.path.join(root, "done", name)):
+                if name in io.listdir(os.path.join(root, "shards")):
                     io.unlink(os.path.join(root, "pending", name))
         """)
         assert not rule_hits(report, "R008")

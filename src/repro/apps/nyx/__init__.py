@@ -2,7 +2,6 @@
 
 from repro.apps.nyx.app import DATASET, PLOTFILE, NyxApplication
 from repro.apps.nyx.field import FieldConfig, generate_baryon_density
-from repro.apps.nyx.fof import FofGroup, friends_of_friends, mean_interparticle_separation
 from repro.apps.nyx.halo_finder import (
     Halo,
     HaloCatalog,
@@ -22,9 +21,6 @@ __all__ = [
     "average_value_check",
     "candidate_count",
     "find_halos",
-    "FofGroup",
-    "friends_of_friends",
-    "mean_interparticle_separation",
     "DATASET",
     "PLOTFILE",
     "NyxApplication",

@@ -18,8 +18,10 @@ drain one campaign:
   byte-identical to serial execution (or a ``partial`` merge plus a
   machine-readable hole report);
 * :mod:`~repro.core.engine.dist.coordinator` -- the lease lifecycle,
-  :func:`execute_distributed` (the fork-local fleet form), and the
-  degradation ladder that finishes campaigns over failing storage;
+  :func:`execute_distributed` (the one coordinator loop: forked local
+  workers, or ``workers=0`` for a fleet that attaches from any host),
+  and the degradation ladder that finishes campaigns whose local
+  workers keep dying;
 * :mod:`~repro.core.engine.dist.chaos` -- the injectable
   :class:`QueueIO` filesystem seam and the seeded, deterministic
   :class:`FaultyIO` fault injector (the paper's methodology, pointed
@@ -60,8 +62,8 @@ from repro.core.engine.dist.lease import (
 from repro.core.engine.dist.merge import (
     HoleReport,
     MergeStats,
+    merge_and_write,
     merge_shards,
-    write_merged,
 )
 from repro.core.engine.dist.queue import (
     DEFAULT_QUARANTINE_AFTER,
@@ -97,11 +99,11 @@ __all__ = [
     "WorkerStats",
     "default_lease_runs",
     "execute_distributed",
+    "merge_and_write",
     "merge_shards",
     "plan_manifest",
     "retry_io",
     "run_worker",
     "shard_plan",
     "verify_manifest",
-    "write_merged",
 ]

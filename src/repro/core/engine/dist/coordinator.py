@@ -1,18 +1,21 @@
 """The coordinator: post leases, keep the fleet honest, merge the truth.
 
 :class:`Coordinator` owns a campaign's queue lifecycle -- shard the plan
-into leases, post them, expire stale claims so a dead worker's work is
-reassigned, and finally merge the shards into the canonical checkpoint.
-It never executes a run itself, so one coordinator can serve workers on
-any mix of hosts that share the queue directory.
+into leases, post them, and finally merge the shards into the canonical
+checkpoint.  It never executes a run itself, so one coordinator can
+serve workers on any mix of hosts that share the queue directory.
 
-:func:`execute_distributed` is the batteries-included local form: fork
-``workers`` worker processes over an in-memory plan (fork inheritance
-ships the compiled plan for free -- the capture-then-fork trick from the
-parallel executor, stretched across a queue), supervise them, and
-return a :class:`~repro.core.engine.sweep.SweepResult` indistinguishable
-from serial execution.  SIGKILLing any worker mid-lease is survivable
-by construction: its lease expires, a peer (or respawn) re-executes it,
+:func:`execute_distributed` is the one coordinator loop: post, then
+poll until every lease settles -- expiring stale claims so a dead
+worker's work is reassigned -- and merge.  ``workers`` forked local
+workers drain the queue over an in-memory plan (fork inheritance ships
+the compiled plan for free -- the capture-then-fork trick from the
+parallel executor, stretched across a queue); ``workers=0`` forks none
+and only coordinates a fleet that attaches on its own schedule, which
+is what ``repro study serve`` runs.  The result is a
+:class:`~repro.core.engine.sweep.SweepResult` indistinguishable from
+serial execution.  SIGKILLing any worker mid-lease is survivable by
+construction: its lease expires, a peer (or respawn) re-executes it,
 and the merge deduplicates whatever the dead worker had already
 written.
 
@@ -22,15 +25,18 @@ When the infrastructure itself is failing, the coordinator walks a
 1. *normal* -- dead workers are respawned within the respawn budget;
 2. *shrunk-fleet* -- past the budget, deaths stop being replaced and
    the surviving workers finish the campaign;
-3. *serial-drain* -- with every worker dead, the coordinator reclaims
-   the orphaned claims and drains the queue itself, in process;
+3. *serial-drain* -- with every forked worker dead, the coordinator
+   reclaims the orphaned claims and drains the queue itself, in
+   process;
 4. *direct-drain* -- if even the queue's storage is persistently
    broken, the remaining runs execute in process *bypassing* the
    queue, and their records ride into the merge as ``extra``.
 
-Each step taken is recorded in a :class:`DegradationReport` attached to
-the result, and a campaign that settles around quarantined poison
-leases finishes with a partial merge plus an explicit hole report --
+The ladder supervises local workers only: with ``workers=0`` the
+coordinator waits for its attached workers instead of draining.  Each
+step taken is recorded in a :class:`DegradationReport` attached to the
+result, and a campaign that settles around quarantined poison leases
+finishes with a partial merge plus an explicit hole report --
 completed cells byte-identical to serial, missing runs named, nothing
 silently dropped.
 """
@@ -40,7 +46,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.engine.dist.chaos import ChaosCrash, QueueIO
 from repro.core.engine.dist.lease import (
@@ -60,9 +66,14 @@ from repro.core.engine.dist.queue import (
 from repro.core.engine.dist.retry import RetryPolicy
 from repro.core.engine.dist.worker import run_worker
 from repro.core.engine.executor import _place_worker
-from repro.core.engine.runner import execute_run_spec
+from repro.core.engine.plan import RunPlan
 from repro.core.engine.sink import merge_shard_records, refuse_overwrite
-from repro.core.engine.sweep import SweepPlan, SweepResult, _boundary_sorted
+from repro.core.engine.sweep import (
+    SweepCell,
+    SweepPlan,
+    SweepResult,
+    execute_sweep,
+)
 from repro.core.outcomes import RunRecord
 from repro.errors import FFISError
 
@@ -145,22 +156,6 @@ class Coordinator:
             quarantine_after=self.quarantine_after)
         return self.queue
 
-    def _require_queue(self) -> FileQueue:
-        if self.queue is None:
-            raise FFISError("coordinator has not posted its queue yet")
-        return self.queue
-
-    def expire(self) -> List[Lease]:
-        """One liveness sweep: re-post every claim past the lease TTL."""
-        return self._require_queue().expire_stale(self.lease_ttl)
-
-    def done(self) -> bool:
-        return self._require_queue().all_done()
-
-    def settled(self) -> bool:
-        """Done *or* quarantined: no further progress is possible."""
-        return self._require_queue().settled()
-
     def finish(self, results_path: Optional[str] = None, *,
                overwrite: bool = False,
                partial: bool = False,
@@ -176,7 +171,9 @@ class Coordinator:
         checkpoint gains a machine-readable hole report carrying the
         queue's quarantine diagnostics.
         """
-        queue = self._require_queue()
+        queue = self.queue
+        if queue is None:
+            raise FFISError("coordinator has not posted its queue yet")
         try:
             queue.mark_finished()
         except OSError:
@@ -212,24 +209,27 @@ def _direct_drain(plan: SweepPlan, queue: FileQueue
     """Last rung of the ladder: execute every run no published segment
     covers, in process, without touching the (broken) queue.
 
-    Runs are deterministic in their spec, so these records are
-    byte-identical to what a healthy worker would have produced; they
-    ride into the merge as ``extra``.
+    The remainder is a :class:`SweepPlan` of its own, run through
+    :func:`~repro.core.engine.sweep.execute_sweep`.  Runs are
+    deterministic in their spec, so these records are byte-identical
+    to what a healthy worker would have produced; they ride into the
+    merge as ``extra``.
     """
     try:
         groups, _ = merge_shard_records(queue.shard_paths())
     except (FFISError, OSError):
         groups = {}  # even the shards are unreadable: recompute all
-    stamps = {cell.key: cell.campaign_id for cell in plan.cells}
-    extra: Dict[Optional[str], Dict[int, RunRecord]] = {}
-    for cell in plan.cells:
-        have = groups.get(stamps[cell.key], {})
-        todo = [spec for spec in cell.plan.specs
-                if spec.run_index not in have]
-        for spec in _boundary_sorted(cell.plan.context, todo):
-            record = execute_run_spec(cell.plan.context, spec)
-            extra.setdefault(stamps[cell.key], {})[spec.run_index] = record
-    return extra
+    remainder = SweepPlan(cells=tuple(
+        SweepCell(key=cell.key, campaign_id=cell.campaign_id,
+                  plan=RunPlan(context=cell.plan.context, specs=tuple(
+                      spec for spec in cell.plan.specs
+                      if spec.run_index not in groups.get(
+                          cell.campaign_id, {}))))
+        for cell in plan.cells))
+    records = execute_sweep(remainder).records
+    return {cell.campaign_id: {record.run_index: record
+                               for record in records[cell.key]}
+            for cell in plan.cells}
 
 
 def execute_distributed(plan: SweepPlan, root: str, *,
@@ -244,34 +244,42 @@ def execute_distributed(plan: SweepPlan, root: str, *,
                         io: Optional[QueueIO] = None,
                         retry: Optional[RetryPolicy] = None,
                         quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
+                        progress: Optional[
+                            Callable[[Dict[str, int]], None]] = None,
                         ) -> SweepResult:
-    """Run *plan* across forked local workers via a lease queue at *root*.
+    """Run *plan* through a lease queue at *root* until every lease
+    settles, then merge.
 
     The result -- records, per-cell ordering, and (when *results_path*
     is given) the checkpoint file bytes -- is identical to
-    ``execute_sweep(plan, workers=1)``.  Dead workers are respawned (up
-    to *max_respawns*, default ``4 * workers``); past that budget the
-    campaign *degrades* instead of dying -- shrunken fleet, then an
+    ``execute_sweep(plan, workers=1)``.  ``workers`` local worker
+    processes are forked to drain the queue; ``workers=0`` forks none
+    and waits for workers that attach on their own (``repro worker``
+    on any host that mounts *root*).  Dead local workers are respawned
+    (up to *max_respawns*, default ``4 * workers``); past that budget
+    the campaign *degrades* instead of dying -- shrunken fleet, then an
     in-process serial drain, then a queue-bypassing direct drain -- and
     the taken path is reported on ``result.degradation``.  *timeout*
     bounds the whole campaign as a hang backstop.  ``resume=True``
     re-opens an interrupted queue directory: settled leases stay
     settled and only the remainder executes.  ``io``/``retry`` are the
     chaos seam and transient-retry policy handed to the queue and every
-    forked worker.
+    forked worker.  ``progress(counts)`` receives the queue's lease
+    counts once per poll.
     """
     # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
     start = time.perf_counter()
-    if workers < 1:
-        raise FFISError(f"need at least one worker, got {workers}")
+    if workers < 0:
+        raise FFISError(f"workers must be >= 0, got {workers}")
     refuse_overwrite(results_path, resume)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError as exc:
-        raise FFISError(
-            "distributed local workers need the fork start method; on "
-            "this platform run separate `repro worker` processes against "
-            "the queue directory instead") from exc
+    if workers:
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError as exc:
+            raise FFISError(
+                "distributed local workers need the fork start method; "
+                "on this platform run separate `repro worker` processes "
+                "against the queue directory instead") from exc
 
     coordinator = Coordinator(plan, root, lease_runs=lease_runs,
                               lease_ttl=lease_ttl, workers=workers,
@@ -301,9 +309,11 @@ def execute_distributed(plan: SweepPlan, root: str, *,
     try:
         while not queue.settled():
             try:
-                coordinator.expire()
+                queue.expire_stale(coordinator.lease_ttl)
             except OSError:
                 pass  # expiry is best-effort; the next sweep retries
+            if progress is not None:
+                progress(queue.counts())
             for worker_id in sorted(procs):
                 proc = procs[worker_id]
                 if not proc.is_alive() and not queue.settled():
@@ -321,11 +331,13 @@ def execute_distributed(plan: SweepPlan, root: str, *,
                             "longer replacing casualties")
                     else:
                         _spawn()
-            if not procs and not queue.settled():
-                # The whole fleet is gone and the budget is spent:
-                # drain what remains in this process.  Orphaned claims
-                # are reclaimed immediately -- their workers are dead,
-                # not slow.
+            if spawned and not procs and not queue.settled():
+                # Every worker this call forked is gone and the budget
+                # is spent: drain what remains in this process.
+                # Orphaned claims are reclaimed immediately -- their
+                # workers are dead, not slow.  A coordinator that
+                # forked none never gets here: it waits for the
+                # workers attached to its queue.
                 report.record(
                     "serial-drain",
                     "every worker is dead; draining the queue in "
@@ -355,19 +367,23 @@ def execute_distributed(plan: SweepPlan, root: str, *,
                     "-- resume it")
             time.sleep(poll_interval)
     finally:
-        # Raise FINISHED first so healthy workers drain and exit on
-        # their own; anything still alive after a grace join is torn
-        # down (its lease state is crash-safe regardless).
-        try:
-            queue.mark_finished()
-        except OSError:
-            pass  # broken queue storage; workers still get terminated
-        for proc in procs.values():
-            proc.join(timeout=5.0)
-        for proc in procs.values():
-            if proc.is_alive():
-                proc.terminate()
+        if procs:
+            # Raise FINISHED first so healthy local workers drain and
+            # exit on their own; anything still alive after a grace
+            # join is torn down (its lease state is crash-safe
+            # regardless).  Without local workers an unsettled queue
+            # stays open: its attached workers keep polling for a
+            # resumed coordinator.
+            try:
+                queue.mark_finished()
+            except OSError:
+                pass  # broken queue storage; workers still get terminated
+            for proc in procs.values():
                 proc.join(timeout=5.0)
+            for proc in procs.values():
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join(timeout=5.0)
     partial = extra is not None or not queue.all_done()
     merged, stats = coordinator.finish(results_path=results_path,
                                        overwrite=True, partial=partial,

@@ -145,23 +145,6 @@ def merge_shards(plan: SweepPlan, shard_paths: Sequence[str], *,
     return merged, stats
 
 
-def write_merged(plan: SweepPlan, shard_paths: Sequence[str],
-                 results_path: str, *,
-                 overwrite: bool = False,
-                 partial: bool = False,
-                 extra: Optional[Dict[Optional[str],
-                                      Dict[int, RunRecord]]] = None,
-                 quarantined: Sequence[Dict[str, Any]] = (),
-                 holes_path: Optional[str] = None) -> MergeStats:
-    """Write the merged checkpoint; :func:`merge_and_write` without the
-    records."""
-    _, stats = merge_and_write(
-        plan, shard_paths, results_path, overwrite=overwrite,
-        partial=partial, extra=extra, quarantined=quarantined,
-        holes_path=holes_path)
-    return stats
-
-
 def merge_and_write(plan: SweepPlan, shard_paths: Sequence[str],
                     results_path: str, *,
                     overwrite: bool = False,

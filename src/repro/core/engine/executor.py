@@ -1,29 +1,29 @@
-"""Pluggable executors: how a run plan's specs actually get executed.
+"""Pluggable executors: how a sweep's specs actually get executed.
 
-The :class:`Executor` ABC is the swappable backend seam (one plan, many
-execution strategies).  :class:`SerialExecutor` is the reference
-implementation -- a plain in-process loop.  :class:`ParallelExecutor`
-fans the same specs out over a :class:`concurrent.futures.\
-ProcessPoolExecutor` using a **capture-then-fork** discipline: the
-parent finishes all fault-free work (profiles, golden captures, replay
-images) *before* the pool exists, publishes the execution payload --
-contexts plus the full materialized work list -- in a process-global
-registry, and spawns the workers with the ``fork`` start method so they
-inherit it through copy-on-write page sharing.  Task submissions are
-then just ``(start, stop)`` index ranges into the inherited work list:
-per-task IPC cost is a few dozen bytes regardless of how large the
-golden ``ReplayImage``\\ s are.
+The :class:`Executor` ABC is the swappable backend seam, and its one
+protocol is ``map_tagged``: run ``(cell key, spec)`` pairs against a
+*dictionary* of execution contexts and yield ``(key, record)`` pairs in
+item order.  That is how many campaigns share one backend (one pool
+initialization, interleaved dispatch) instead of running back to back;
+a single campaign is a one-cell sweep.  Every backend yields the same
+records in the same order, so they are interchangeable.
+
+:class:`SerialExecutor` is the reference implementation -- a plain
+in-process loop.  :class:`ParallelExecutor` fans the same items out
+over a :class:`concurrent.futures.ProcessPoolExecutor` using a
+**capture-then-fork** discipline: the parent finishes all fault-free
+work (profiles, golden captures, replay images) *before* the pool
+exists, publishes the execution payload -- contexts plus the full
+materialized work list -- in a process-global registry, and spawns the
+workers with the ``fork`` start method so they inherit it through
+copy-on-write page sharing.  Task submissions are then just ``(start,
+stop)`` index ranges into the inherited work list: per-task IPC cost is
+a few dozen bytes regardless of how large the golden
+``ReplayImage``\\ s are.
 
 Where ``fork`` is unavailable (spawn-only platforms), the payload ships
 once per worker through the pool initializer -- amortized O(workers),
 not O(chunks) -- and the range-based submissions stay identical.
-``map`` always yields records in plan order, so every backend is
-record-for-record interchangeable.
-
-Both backends also speak the fused-sweep protocol: ``map_tagged`` runs
-``(cell key, spec)`` pairs against a *dictionary* of execution contexts,
-which is how many campaigns share one worker pool (one pool
-initialization, interleaved dispatch) instead of running back to back.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _FORK_REGISTRY: dict = {}
 _fork_tokens = itertools.count(1)
 
 #: Worker-side state installed by :func:`_init_worker`:
-#: ``(contexts, items, tagged)``.
+#: ``(contexts, items)``.
 _WORKER_STATE = None
 
 
@@ -95,19 +95,13 @@ def _run_span(start: int, stop: int) -> list:
     """Execute work items ``[start, stop)`` against the worker state."""
     from repro.core.engine.runner import execute_run_spec
 
-    contexts, items, tagged = _WORKER_STATE
-    if tagged:
-        return [(key, execute_run_spec(contexts[key], spec))
-                for key, spec in items[start:stop]]
-    return [execute_run_spec(contexts, spec) for spec in items[start:stop]]
+    contexts, items = _WORKER_STATE
+    return [(key, execute_run_spec(contexts[key], spec))
+            for key, spec in items[start:stop]]
 
 
 class Executor(ABC):
-    """Strategy for executing the specs of a :class:`RunPlan`."""
-
-    @abstractmethod
-    def map(self, plan) -> Iterator[RunRecord]:
-        """Yield one record per spec, in plan order, as they complete."""
+    """Strategy for executing the specs of a sweep's cells."""
 
     @abstractmethod
     def map_tagged(self, contexts: Mapping[str, object],
@@ -123,12 +117,6 @@ class Executor(ABC):
 class SerialExecutor(Executor):
     """The reference backend: execute specs one after another."""
 
-    def map(self, plan) -> Iterator[RunRecord]:
-        from repro.core.engine.runner import execute_run_spec
-
-        for spec in plan.specs:
-            yield execute_run_spec(plan.context, spec)
-
     def map_tagged(self, contexts, items) -> Iterator[Tuple[str, RunRecord]]:
         from repro.core.engine.runner import execute_run_spec
 
@@ -142,9 +130,9 @@ class SerialExecutor(Executor):
 class ParallelExecutor(Executor):
     """Capture-then-fork process pool for embarrassingly parallel runs.
 
-    The parent must finish golden capture before calling ``map``/
-    ``map_tagged`` (planners already guarantee this: a plan carries its
-    golden record).  The full payload -- execution contexts plus the
+    The parent must finish golden capture before calling ``map_tagged``
+    (planners already guarantee this: a plan carries its golden
+    record).  The full payload -- execution contexts plus the
     materialized work list -- is published to :data:`_FORK_REGISTRY`
     before the pool starts:
 
@@ -159,9 +147,9 @@ class ParallelExecutor(Executor):
 
     Dispatch is **chunked**: ``chunk_size`` specs per future amortize
     queue wakeups and future bookkeeping.  ``chunk_size=None`` adapts to
-    the plan: ``max(1, n_specs // (workers * 4))``, so tiny plans spread
+    the plan: ``max(1, n_items // (workers * 4))``, so tiny plans spread
     across all workers instead of serializing onto one.  Records stream
-    back per chunk and are yielded in plan order, so chunking is
+    back per chunk and are yielded in item order, so chunking is
     invisible to every consumer.
 
     Submission is windowed: at most ``workers * IN_FLIGHT_PER_WORKER``
@@ -212,19 +200,12 @@ class ParallelExecutor(Executor):
         return max(1, min(self.MAX_ADAPTIVE_CHUNK_SIZE,
                           n_items // (self.workers * 4)))
 
-    def map(self, plan) -> Iterator[RunRecord]:
-        if not plan.specs:
-            return
-        yield from self._stream(plan.context, list(plan.specs), tagged=False)
-
     def map_tagged(self, contexts, items) -> Iterator[Tuple[str, RunRecord]]:
-        yield from self._stream(dict(contexts), list(items), tagged=True)
-
-    def _stream(self, contexts, items, tagged: bool) -> Iterator:
+        items = list(items)
         if not items:
             return
         mp_context = self._mp_context()
-        payload = (contexts, items, tagged)
+        payload = (dict(contexts), items)
         token = next(_fork_tokens)
         if mp_context.get_start_method() == "fork":
             # Publish before the pool exists: workers fork at first

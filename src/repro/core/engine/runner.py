@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro.core.engine.executor import Executor
 from repro.core.engine.plan import ExecutionContext, RunPlan, RunSpec
 from repro.core.engine.sink import ResultSink
 from repro.core.outcomes import Outcome, RunRecord
@@ -73,7 +72,6 @@ def execute_run_spec(context: ExecutionContext, spec: RunSpec) -> RunRecord:
 
 
 def execute_plan(plan: RunPlan, *,
-                 executor: Optional[Executor] = None,
                  workers: int = 1,
                  chunk_size: Optional[int] = None,
                  results_path: Optional[str] = None,
@@ -83,8 +81,7 @@ def execute_plan(plan: RunPlan, *,
                  sinks: Sequence[ResultSink] = ()) -> List[RunRecord]:
     """Run every spec of *plan*, streaming records through the sinks.
 
-    * ``workers`` selects the executor (``>1`` forks a process pool)
-      unless an explicit ``executor`` is passed.
+    * ``workers`` selects the executor (``>1`` forks a process pool).
     * ``results_path`` persists each record as one JSONL line the moment
       it completes, so an interrupted campaign loses at most the runs in
       flight.
@@ -99,7 +96,7 @@ def execute_plan(plan: RunPlan, *,
     from repro.core.engine.sweep import SweepCell, SweepPlan, execute_sweep
 
     cell = SweepCell(key="plan", plan=plan, campaign_id=campaign_id)
-    result = execute_sweep(SweepPlan(cells=(cell,)), executor=executor,
+    result = execute_sweep(SweepPlan(cells=(cell,)),
                            workers=workers, chunk_size=chunk_size,
                            results_path=results_path,
                            resume=resume, progress=progress, sinks=sinks)

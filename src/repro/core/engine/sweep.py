@@ -41,7 +41,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.engine.executor import Executor, make_executor
+from repro.core.engine.executor import make_executor
 from repro.core.engine.plan import RunPlan, RunSpec
 from repro.core.engine.sink import (
     JsonlSink,
@@ -61,10 +61,11 @@ class ProfileGoldenCache:
     Cells are keyed by the *identity* of their application object (and
     file-system factory): two cells planned over the same application
     instance -- e.g. the twelve Montage stage x model cells of Fig. 7 --
-    compute the I/O profile, the golden record, and the metadata-write
-    location at most once each, however many cells share them.  The
-    ``*_runs`` counters report how many fault-free executions the sweep
-    actually paid for.
+    compute the golden record and the metadata-write location at most
+    once each, however many cells share them.  Every I/O profile is
+    derived from the golden capture (:meth:`derived_profile`), so it
+    costs no run of its own.  The ``*_runs`` counters report how many
+    fault-free executions the sweep actually paid for.
 
     The cached golden record carries the prefix-replay snapshot set
     (:attr:`repro.apps.base.GoldenRecord.replay`), so all cells over
@@ -80,7 +81,6 @@ class ProfileGoldenCache:
         # Pin keyed objects so id()-based keys stay unique for the
         # cache's lifetime.
         self._pinned: List[Any] = []
-        self.profile_runs = 0
         self.golden_runs = 0
         self.locate_runs = 0
 
@@ -88,22 +88,11 @@ class ProfileGoldenCache:
         self._pinned.append((app, fs_factory))
         return (id(app), id(fs_factory)) + extra
 
-    def profile(self, app: Any, fs_factory: Any, primitive: str,
-                compute: Callable[[], Any]) -> Any:
-        """The app's fault-free I/O profile for *primitive* (one run)."""
-        key = self._key(app, fs_factory, primitive)
-        if key not in self._profiles:
-            self._profiles[key] = compute()
-            self.profile_runs += 1
-        return self._profiles[key]
-
     def derived_profile(self, app: Any, fs_factory: Any, primitive: str,
                         compute: Callable[[], Any]) -> Any:
-        """Like :meth:`profile`, but *compute* derives the profile from
-        an already-captured golden record instead of executing the
-        application -- so a miss costs no fault-free run and the
-        ``profile_runs`` counter stays untouched.  A profile primed
-        through :meth:`profile` (same key) is still honoured."""
+        """The app's I/O profile for *primitive*; *compute* derives it
+        from an already-captured golden record instead of executing the
+        application, so a miss costs no fault-free run."""
         key = self._key(app, fs_factory, primitive)
         if key not in self._profiles:
             self._profiles[key] = compute()
@@ -137,7 +126,7 @@ class ProfileGoldenCache:
 
     def fault_free_runs(self) -> int:
         """Total fault-free application executions this cache paid for."""
-        return self.profile_runs + self.golden_runs + self.locate_runs
+        return self.golden_runs + self.locate_runs
 
 
 @dataclass(frozen=True)
@@ -300,7 +289,6 @@ def _assign_existing(plan: SweepPlan, results_path: str
 
 
 def execute_sweep(plan: SweepPlan, *,
-                  executor: Optional[Executor] = None,
                   workers: int = 1,
                   chunk_size: Optional[int] = None,
                   results_path: Optional[str] = None,
@@ -310,9 +298,8 @@ def execute_sweep(plan: SweepPlan, *,
     """Execute every cell of *plan* through one executor.
 
     * ``workers`` selects the executor (``>1`` forks a single process
-      pool serving every cell) unless an explicit ``executor`` is given;
-      ``chunk_size`` tunes its dispatch granularity (``None`` adapts to
-      the plan size).
+      pool serving every cell); ``chunk_size`` tunes its dispatch
+      granularity (``None`` adapts to the plan size).
     * ``results_path`` streams each record to one multiplexed JSONL
       checkpoint, each line stamped with its cell's campaign identity.
     * ``resume=True`` reads the checkpoint first and re-executes only
@@ -344,8 +331,7 @@ def execute_sweep(plan: SweepPlan, *,
                 f"cells {unstamped} have no campaign_id; a multi-cell "
                 "sweep checkpoint needs every line stamped to be "
                 "resumable")
-    chosen = executor if executor is not None \
-        else make_executor(workers, chunk_size=chunk_size)
+    executor = make_executor(workers, chunk_size=chunk_size)
 
     existing: Dict[str, List[RunRecord]] = {cell.key: [] for cell in plan.cells}
     had_records = False
@@ -401,7 +387,7 @@ def execute_sweep(plan: SweepPlan, *,
                         for key, specs in pending]
             buffered: Dict[Tuple[str, int], RunRecord] = {}
             emitted = 0
-            stream = chosen.map_tagged(contexts, _interleaved(dispatch))
+            stream = executor.map_tagged(contexts, _interleaved(dispatch))
             try:
                 for done_key, done_record in stream:
                     buffered[(done_key, done_record.run_index)] = done_record

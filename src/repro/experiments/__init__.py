@@ -30,12 +30,10 @@ _EXPORTS: Dict[str, Tuple[str, str]] = {
     "run_table4": ("repro.experiments.table4", "run_table4"),
     "run_figure5": ("repro.experiments.figure5", "run_figure5"),
     "run_figure6": ("repro.experiments.figure6", "run_figure6"),
-    "plan_figure7": ("repro.experiments.figure7", "plan_figure7"),
     "run_figure7": ("repro.experiments.figure7", "run_figure7"),
     "run_figure7_cell": ("repro.experiments.figure7", "run_figure7_cell"),
     "run_figure8": ("repro.experiments.figure8", "run_figure8"),
     "run_figure9": ("repro.experiments.figure9", "run_figure9"),
-    "plan_multifault": ("repro.experiments.multifault", "plan_multifault"),
     "run_multifault": ("repro.experiments.multifault", "run_multifault"),
     "EXPERIMENTS": ("repro.experiments.registry", "EXPERIMENTS"),
     "get_experiment": ("repro.experiments.registry", "get_experiment"),

@@ -9,22 +9,23 @@ application is profiled and golden-captured exactly once, every cell's
 specs interleave through one worker pool, and the whole grid checkpoints
 to one multiplexed JSONL file with sweep-level kill/resume.  Checkpoint
 lines are byte-identical to the pre-study driver (golden-fixture
-regression tested).  Campaign sizes follow ``REPRO_FI_RUNS``.
+regression tested).  The driver plans through ``Study(spec).plan()`` and
+renders with the registered study's renderer, like ``repro study run
+figure7``.  Campaign sizes follow ``REPRO_FI_RUNS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from repro.analysis.tables import render_outcome_grid, render_table
 from repro.apps.base import HpcApplication
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.config import CampaignConfig
-from repro.core.engine import ProfileGoldenCache, SweepPlan
 from repro.experiments.params import default_runs
 from repro.fusefs.vfs import FFISFileSystem
-from repro.study.registry import FIGURE7_APPS
+from repro.study.registry import FIGURE7_APPS, get_study
+from repro.study.resultset import ResultSet
 
 FAULT_MODELS = ("BF", "SW", "DW")
 MONTAGE_STAGES = ("mProjExec", "mDiffExec", "mBgExec", "mAdd")
@@ -51,9 +52,11 @@ PAPER_NOTES = {
 
 @dataclass
 class Figure7Result:
+    #: The study execution's records, one cell per grid label.
+    results: ResultSet
     cells: Dict[str, CampaignResult] = field(default_factory=dict)
     #: Fault-free application executions the fused sweep paid for
-    #: (profiles + golden captures; one pair per distinct app).
+    #: (one golden capture per distinct app).
     fault_free_runs: int = 0
     elapsed_seconds: float = 0.0
 
@@ -61,11 +64,7 @@ class Figure7Result:
         return self.cells[label]
 
     def render(self) -> str:
-        grid = render_outcome_grid(self.cells,
-                                   title="Figure 7: I/O fault characterization")
-        rows = [[label, PAPER_NOTES.get(label, "-")] for label in self.cells]
-        paper = render_table(["cell", "paper"], rows, title="Figure 7 (paper)")
-        return grid + "\n" + paper
+        return get_study("figure7").render(self.results)
 
 
 def run_figure7_cell(app: HpcApplication, fault_model: str,
@@ -77,48 +76,6 @@ def run_figure7_cell(app: HpcApplication, fault_model: str,
     config = CampaignConfig(fault_model=fault_model, n_runs=runs,
                             seed=seed, phase=phase, workers=workers)
     return Campaign(app, config).run()
-
-
-def _study_for(n_runs: Optional[int], seed: int,
-               include_montage_stages: bool,
-               apps: Optional[Dict[str, HpcApplication]],
-               fs_factory: Callable[[], FFISFileSystem],
-               cache: Optional[ProfileGoldenCache]):
-    from repro.errors import ConfigError
-    from repro.study import Study
-    from repro.study.registry import figure7_spec
-
-    if apps is not None:
-        unknown = sorted(set(apps) - set(APP_IDS))
-        if unknown:
-            raise ConfigError(
-                f"unknown figure7 app labels {unknown}; the grid's labels "
-                f"are {sorted(APP_IDS)}")
-    spec = figure7_spec(
-        n_runs=n_runs, seed=seed,
-        include_montage_stages=include_montage_stages,
-        app_labels=None if apps is None else tuple(apps))
-    overrides = None if apps is None else {
-        APP_IDS[label]: app for label, app in apps.items()}
-    return Study(spec, apps=overrides, fs_factory=fs_factory, cache=cache)
-
-
-def plan_figure7(n_runs: Optional[int] = None, seed: int = 1,
-                 include_montage_stages: bool = True,
-                 apps: Optional[Dict[str, HpcApplication]] = None,
-                 fs_factory: Callable[[], FFISFileSystem] = FFISFileSystem,
-                 cache: Optional[ProfileGoldenCache] = None,
-                 ) -> Tuple[SweepPlan, Dict[str, Campaign], ProfileGoldenCache]:
-    """The grid as a fused sweep plan (cells in the grid's label order).
-
-    Returns the plan plus the per-label campaigns and the shared cache,
-    so callers can reassemble :class:`CampaignResult` objects (and
-    their profile/golden) after execution without re-running anything.
-    """
-    study = _study_for(n_runs, seed, include_montage_stages, apps,
-                       fs_factory, cache)
-    plan = study.plan()
-    return plan.sweep, dict(plan.campaigns), plan.cache
 
 
 def run_figure7(n_runs: Optional[int] = None, seed: int = 1,
@@ -136,12 +93,26 @@ def run_figure7(n_runs: Optional[int] = None, seed: int = 1,
     JSONL file and ``resume=True`` re-executes only the missing
     (cell, run index) pairs of a killed sweep.
     """
-    study = _study_for(n_runs, seed, include_montage_stages, apps,
-                       fs_factory, None)
-    plan = study.plan()
+    from repro.errors import ConfigError
+    from repro.study import Study
+    from repro.study.registry import figure7_spec
+
+    if apps is not None:
+        unknown = sorted(set(apps) - set(APP_IDS))
+        if unknown:
+            raise ConfigError(
+                f"unknown figure7 app labels {unknown}; the grid's labels "
+                f"are {sorted(APP_IDS)}")
+    spec = figure7_spec(
+        n_runs=n_runs, seed=seed,
+        include_montage_stages=include_montage_stages,
+        app_labels=None if apps is None else tuple(apps))
+    overrides = None if apps is None else {
+        APP_IDS[label]: app for label, app in apps.items()}
+    plan = Study(spec, apps=overrides, fs_factory=fs_factory).plan()
     results = plan.execute(workers=workers, results_path=results_path,
                            resume=resume, progress=progress)
-    result = Figure7Result(fault_free_runs=results.fault_free_runs,
-                           elapsed_seconds=results.elapsed_seconds)
-    result.cells = plan.campaign_results(results)
-    return result
+    return Figure7Result(results=results,
+                         cells=plan.campaign_results(results),
+                         fault_free_runs=results.fault_free_runs,
+                         elapsed_seconds=results.elapsed_seconds)

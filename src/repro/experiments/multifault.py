@@ -14,22 +14,22 @@ The grid is a registered declarative study
 golden capture run exactly once across all k cells, all cells' specs
 interleave through one worker pool, and the grid checkpoints to one
 multiplexed JSONL file with sweep-level kill/resume (``repro run
-multifault --workers N --out sweep.jsonl --resume``).
+multifault --workers N --out sweep.jsonl --resume``).  The driver plans
+through ``Study(spec).plan()`` and renders with the registered study's
+renderer, which lists the k columns in ascending order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.analysis.stats import sdc_vs_k
-from repro.analysis.tables import render_outcome_grid, render_table
 from repro.apps.base import HpcApplication
-from repro.core.campaign import Campaign, CampaignResult
-from repro.core.engine import ProfileGoldenCache, SweepPlan
-from repro.core.outcomes import Outcome
+from repro.core.campaign import CampaignResult
 from repro.experiments.figure7 import APP_IDS
 from repro.fusefs.vfs import FFISFileSystem
+from repro.study.registry import get_study
+from repro.study.resultset import ResultSet
 
 #: Faults per run swept by the grid; k=1 is the paper's baseline.
 K_VALUES = (1, 2, 4, 8)
@@ -37,76 +37,20 @@ K_VALUES = (1, 2, 4, 8)
 
 @dataclass
 class MultifaultResult:
-    """Per-cell results plus the per-application SDC-vs-k curves."""
+    """Per-cell results; :meth:`render` adds the per-application
+    SDC-vs-k curves."""
 
+    #: The study execution's records, one cell per ``<app>-k<k>`` label.
+    results: ResultSet
     cells: Dict[str, CampaignResult] = field(default_factory=dict)
-    k_values: Tuple[int, ...] = K_VALUES
     fault_free_runs: int = 0
     elapsed_seconds: float = 0.0
 
     def cell(self, label: str) -> CampaignResult:
         return self.cells[label]
 
-    def app_labels(self) -> List[str]:
-        seen = dict.fromkeys(label.rsplit("-k", 1)[0] for label in self.cells)
-        return list(seen)
-
-    def curve(self, app_label: str, outcome: Outcome = Outcome.SDC):
-        """The outcome-rate-vs-k interval estimates for one application."""
-        records = []
-        for k in self.k_values:
-            records.extend(self.cells[f"{app_label}-k{k}"].records)
-        return sdc_vs_k(records, outcome=outcome)
-
     def render(self) -> str:
-        grid = render_outcome_grid(
-            self.cells, title="Multi-fault scenarios: outcomes vs fault count")
-        rows = []
-        for app_label in self.app_labels():
-            curve = self.curve(app_label)
-            rows.append([app_label] + [str(curve[k]) for k in self.k_values])
-        curves = render_table(
-            ["app"] + [f"SDC @ k={k}" for k in self.k_values], rows,
-            title="SDC rate vs fault count")
-        return grid + "\n" + curves
-
-
-def _study_for(n_runs: Optional[int], seed: int, fault_model: str,
-               k_values: Tuple[int, ...],
-               apps: Optional[Dict[str, HpcApplication]],
-               fs_factory: Callable[[], FFISFileSystem],
-               cache: Optional[ProfileGoldenCache]):
-    from repro.study import Study
-    from repro.study.registry import multifault_spec
-
-    # Custom apps keep their dict labels as target labels; app ids fall
-    # back to the label itself for apps outside the stock registry.
-    pairs = None if apps is None else tuple(
-        (label, APP_IDS.get(label, label)) for label in apps)
-    spec = multifault_spec(n_runs=n_runs, seed=seed, fault_model=fault_model,
-                           k_values=k_values, apps=pairs)
-    overrides = None if apps is None else {
-        APP_IDS.get(label, label): app for label, app in apps.items()}
-    return Study(spec, apps=overrides, fs_factory=fs_factory, cache=cache)
-
-
-def plan_multifault(n_runs: Optional[int] = None, seed: int = 1,
-                    fault_model: str = "BF",
-                    k_values: Tuple[int, ...] = K_VALUES,
-                    apps: Optional[Dict[str, HpcApplication]] = None,
-                    fs_factory: Callable[[], FFISFileSystem] = FFISFileSystem,
-                    cache: Optional[ProfileGoldenCache] = None,
-                    ) -> Tuple[SweepPlan, Dict[str, Campaign], ProfileGoldenCache]:
-    """The apps x k grid as a fused sweep plan.
-
-    Returns the plan plus per-label campaigns and the shared cache so
-    callers can reassemble :class:`CampaignResult` objects (and their
-    profile/golden) after execution without re-running anything.
-    """
-    study = _study_for(n_runs, seed, fault_model, tuple(k_values), apps,
-                       fs_factory, cache)
-    plan = study.plan()
-    return plan.sweep, dict(plan.campaigns), plan.cache
+        return get_study("multifault").render(self.results)
 
 
 def run_multifault(n_runs: Optional[int] = None, seed: int = 1,
@@ -125,13 +69,21 @@ def run_multifault(n_runs: Optional[int] = None, seed: int = 1,
     file; ``resume=True`` re-executes only the missing (cell, run index)
     pairs of a killed sweep.
     """
-    study = _study_for(n_runs, seed, fault_model, tuple(k_values), apps,
-                       fs_factory, None)
-    plan = study.plan()
+    from repro.study import Study
+    from repro.study.registry import multifault_spec
+
+    # Custom apps keep their dict labels as target labels; app ids fall
+    # back to the label itself for apps outside the stock registry.
+    pairs = None if apps is None else tuple(
+        (label, APP_IDS.get(label, label)) for label in apps)
+    spec = multifault_spec(n_runs=n_runs, seed=seed, fault_model=fault_model,
+                           k_values=tuple(k_values), apps=pairs)
+    overrides = None if apps is None else {
+        APP_IDS.get(label, label): app for label, app in apps.items()}
+    plan = Study(spec, apps=overrides, fs_factory=fs_factory).plan()
     results = plan.execute(workers=workers, results_path=results_path,
                            resume=resume, progress=progress)
-    result = MultifaultResult(k_values=tuple(k_values),
-                              fault_free_runs=results.fault_free_runs,
-                              elapsed_seconds=results.elapsed_seconds)
-    result.cells = plan.campaign_results(results)
-    return result
+    return MultifaultResult(results=results,
+                            cells=plan.campaign_results(results),
+                            fault_free_runs=results.fault_free_runs,
+                            elapsed_seconds=results.elapsed_seconds)

@@ -13,8 +13,9 @@ and parallel execution behave identically everywhere.
 
 from __future__ import annotations
 
+import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.campaign import Campaign, CampaignResult
@@ -61,11 +62,6 @@ class StudyPlan:
     cells: Tuple[CompiledCell, ...]
     cache: ProfileGoldenCache
     apps: Dict[str, object]
-    campaigns: Dict[str, Planner] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.campaigns:
-            self.campaigns = {cell.key: cell.planner for cell in self.cells}
 
     def __len__(self) -> int:
         return len(self.sweep)
@@ -99,8 +95,6 @@ class StudyPlan:
                 progress: Optional[Callable[[int, int], None]] = None,
                 hosts: Optional[int] = None,
                 queue_root: Optional[str] = None,
-                lease_runs: Optional[int] = None,
-                lease_ttl: float = 30.0,
                 quarantine_after: Optional[int] = None) -> ResultSet:
         """Run the study through one fused sweep execution.
 
@@ -111,11 +105,13 @@ class StudyPlan:
         ``hosts > 1`` switches to the lease-queue distributed engine
         (:func:`~repro.core.engine.dist.execute_distributed`): the plan
         is sharded into leases, drained by ``hosts`` forked worker
-        processes through the queue directory at ``queue_root`` (a
-        throwaway default, so resuming needs an explicit one), and
+        processes through the queue directory at ``queue_root``, and
         merged back into a result -- and checkpoint -- byte-identical
         to serial execution.  Fallbacks the fleet took are reported on
-        ``result.degradation``.
+        ``result.degradation``.  Without ``queue_root`` the queue is a
+        throwaway temporary directory: it is removed when the call
+        returns, and kept (for a resume with an explicit
+        ``queue_root``) when the call raises.
         """
         spec = self.spec
         results_path = spec.out if results_path is None else results_path
@@ -126,7 +122,8 @@ class StudyPlan:
                 execute_distributed,
             )
 
-            if queue_root is None:
+            throwaway = queue_root is None
+            if throwaway:
                 if resume:
                     raise FFISError(
                         "resume=True needs the queue_root of the "
@@ -135,10 +132,11 @@ class StudyPlan:
                 queue_root = tempfile.mkdtemp(prefix="repro-queue-")
             sweep = execute_distributed(
                 self.sweep, queue_root, workers=hosts,
-                lease_runs=lease_runs, lease_ttl=lease_ttl,
                 results_path=results_path, resume=resume,
                 quarantine_after=DEFAULT_QUARANTINE_AFTER
                 if quarantine_after is None else quarantine_after)
+            if throwaway:
+                shutil.rmtree(queue_root)
         else:
             sweep = execute_sweep(
                 self.sweep,
@@ -202,11 +200,10 @@ class Study:
 
     def __init__(self, spec: StudySpec,
                  apps: Optional[Mapping[str, object]] = None,
-                 fs_factory: FsFactory = FFISFileSystem,
-                 cache: Optional[ProfileGoldenCache] = None) -> None:
+                 fs_factory: FsFactory = FFISFileSystem) -> None:
         self.spec = spec
         self.fs_factory = fs_factory
-        self.cache = cache if cache is not None else ProfileGoldenCache()
+        self.cache = ProfileGoldenCache()
         self._overrides = dict(apps or {})
 
     # -- binding ----------------------------------------------------------------

@@ -29,6 +29,7 @@ import errno
 import filecmp
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -45,16 +46,19 @@ from repro.core.engine.dist import (
     FileQueue,
     RetryPolicy,
     execute_distributed,
+    merge_and_write,
     merge_shards,
     retry_io,
     run_worker,
     shard_plan,
-    write_merged,
 )
 from repro.core.engine.sink import JsonlSink
 from repro.errors import FFISError
+from repro.study import Study, StudySpec, serve_study
+from repro.study.spec import ModelSpec, TargetSpec
 
 from tests.test_dist import settle, synth_record, synthetic_plan, toy_plan
+from tests.test_scenario_determinism import ToyApp
 
 
 # -- FaultSpec / FaultyIO -------------------------------------------------------
@@ -390,8 +394,8 @@ class TestPartialMerge:
         paths = self.shards(tmp_path, plan, drop={("B", 1)})
         out = str(tmp_path / "results.jsonl")
         diag = {"lease_id": "lease-00002", "reason": "poison"}
-        stats = write_merged(plan, paths, out, partial=True,
-                             quarantined=(diag,))
+        _, stats = merge_and_write(plan, paths, out, partial=True,
+                                   quarantined=(diag,))
         assert stats.holes == ("B:1",)
         pairs = [(stamp, record.run_index)
                  for _, stamp, record in iter_stamped_records(out)]
@@ -406,7 +410,7 @@ class TestPartialMerge:
         plan = synthetic_plan((2,))
         paths = self.shards(tmp_path, plan)
         out = str(tmp_path / "results.jsonl")
-        write_merged(plan, paths, out, partial=True)
+        merge_and_write(plan, paths, out, partial=True)
         with open(out + ".holes.json", encoding="utf-8") as f:
             report = json.load(f)
         assert report["complete"] is True
@@ -583,6 +587,80 @@ class TestDegradationLadder:
         assert report.holes == ()
         with open(dist + ".holes.json", encoding="utf-8") as f:
             assert json.load(f)["complete"] is True
+
+
+class TestServedFleet:
+    """``workers=0`` is the served form of the one coordinator loop: it
+    forks nothing, so the ladder never fires and only attached workers
+    drain the queue."""
+
+    def test_zero_local_workers_wait_and_never_drain(self, tmp_path):
+        root = str(tmp_path / "q")
+        with pytest.raises(FFISError, match="timeout"):
+            execute_distributed(toy_plan(n_runs=2), root, workers=0,
+                                lease_runs=2, poll_interval=0.02,
+                                timeout=0.3)
+        queue = FileQueue(root)
+        counts = queue.counts()
+        assert counts["pending"] == counts["total"] == 2
+        assert counts["leased"] == counts["done"] == 0
+        assert counts["quarantined"] == 0
+        # An unsettled served queue stays open for a resumed coordinator.
+        assert not queue.finished()
+
+    def test_negative_local_workers_rejected(self, tmp_path):
+        with pytest.raises(FFISError, match="workers must be >= 0"):
+            execute_distributed(toy_plan(n_runs=2), str(tmp_path / "q"),
+                                workers=-1)
+
+    def test_served_queue_settles_around_a_poison_lease(self, tmp_path):
+        """An attached worker's segment writes for one lease hit ENOSPC;
+        the served campaign quarantines that lease and reports the hole
+        through the same degradation report as a local fleet."""
+        spec = StudySpec(
+            name="served-poison",
+            targets=(TargetSpec(app="TOY", label="TOY"),),
+            models=(ModelSpec(model="BF"), ModelSpec(model="DW")),
+            runs=3, seed=5)
+        plan = Study(spec, apps={"TOY": ToyApp()}).plan()
+        root = str(tmp_path / "q")
+        out = str(tmp_path / "served.jsonl")
+        served = []
+
+        def _serve():
+            served.append(serve_study(
+                plan, root, lease_runs=2, results_path=out,
+                poll_interval=0.02, timeout=120.0, quarantine_after=1))
+
+        coordinator = threading.Thread(target=_serve)
+        coordinator.start()
+        try:
+            manifest = os.path.join(root, "manifest.json")
+            deadline = time.monotonic() + 60
+            while not os.path.exists(manifest) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            io_ = FaultyIO(3, [FaultSpec(site="write", err=errno.ENOSPC,
+                                         match="seg-lease-00001",
+                                         probability=1.0)])
+            with pytest.warns(UserWarning, match="quarantined"):
+                stats = run_worker(root, plan.sweep, "w0", io=io_,
+                                   poll_interval=0.02, max_idle_polls=500)
+        finally:
+            coordinator.join(timeout=120)
+        assert not coordinator.is_alive()
+        assert stats.failures == 1
+        (result,) = served
+        report = result.degradation
+        assert report is not None
+        assert report.quarantined == 1
+        assert report.holes == ("TOY-BF:2",)
+        assert "degradation path: normal; quarantined leases: 1; " \
+            "missing runs: 1" in result.footer()
+        with open(out + ".holes.json", encoding="utf-8") as f:
+            receipt = json.load(f)
+        assert receipt["complete"] is False
+        assert receipt["missing_runs"] == ["TOY-BF:2"]
 
 
 # -- the slow soak (weekly lane) ------------------------------------------------

@@ -46,12 +46,12 @@ from repro.core.engine.dist import (
     Lease,
     default_lease_runs,
     execute_distributed,
+    merge_and_write,
     merge_shards,
     plan_manifest,
     run_worker,
     shard_plan,
     verify_manifest,
-    write_merged,
 )
 from repro.core.engine.runner import execute_run_spec
 from repro.core.engine.sink import JsonlSink
@@ -430,15 +430,15 @@ class TestMerge:
         with pytest.raises(FFISError, match="no campaign_id"):
             merge_shards(plan, [])
 
-    def test_write_merged_refuses_a_populated_target(self, tmp_path):
+    def test_merge_and_write_refuses_a_populated_target(self, tmp_path):
         plan = synthetic_plan((2,))
         paths = self.shards(tmp_path, plan)
         target = tmp_path / "out.jsonl"
         target.write_text("occupied\n", encoding="utf-8")
         with pytest.raises(FFISError, match="already contains results"):
-            write_merged(plan, paths, str(target))
+            merge_and_write(plan, paths, str(target))
         assert target.read_text(encoding="utf-8") == "occupied\n"
-        write_merged(plan, paths, str(target), overwrite=True)
+        merge_and_write(plan, paths, str(target), overwrite=True)
         assert target.read_text(encoding="utf-8") != "occupied\n"
 
 
@@ -468,7 +468,7 @@ class TestDistributedByteIdentity:
     def test_finish_with_results_path_merges_once(self, tmp_path,
                                                   monkeypatch):
         """One merge feeds both the returned records and the file; the
-        result equals a separate merge plus write_merged."""
+        result equals a separate merge plus merge_and_write."""
         import repro.core.engine.dist.coordinator as coordinator_module
         import repro.core.engine.dist.merge as merge_module
 
@@ -479,7 +479,7 @@ class TestDistributedByteIdentity:
         run_worker(root, plan, "solo", max_idle_polls=3)
         shards = coordinator.queue.shard_paths()
         want_path = str(tmp_path / "want.jsonl")
-        want_stats = write_merged(plan, shards, want_path)
+        _, want_stats = merge_and_write(plan, shards, want_path)
         want_records, _ = merge_shards(plan, shards)
 
         calls = []
@@ -776,6 +776,16 @@ class TestStudyDistributed:
             assert dist.cell(key) == serial.cell(key)
         assert dist.executed == len(dist)
 
+    def test_throwaway_queue_is_removed_on_return(self, tmp_path,
+                                                  monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        plan = Study(self.toy_spec(), apps=self.apps()).plan()
+        plan.execute(hosts=2)
+        assert not [name for name in os.listdir(tmp_path)
+                    if name.startswith("repro-queue-")]
+
     def test_resume_without_queue_root_is_an_error(self, tmp_path):
         plan = Study(self.toy_spec(), apps=self.apps()).plan()
         with pytest.raises(FFISError, match="queue_root"):
@@ -851,6 +861,8 @@ class TestServeAndWorkerCli:
         text = serve_out.getvalue()
         assert f"serving 6 runs at {queue_root}" in text
         assert "TOY-BF" in text and "TOY-DW" in text
+        # The shared coordinator loop calls serve's progress callback.
+        assert "leases: " in text
         assert filecmp.cmp(serial_path, out_path, shallow=False)
 
     def test_worker_refuses_a_mismatched_study(self, tmp_path, toy_registry):

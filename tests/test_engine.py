@@ -62,8 +62,11 @@ class TestExecutorEquivalence:
 
     def test_explicit_executors_interchangeable(self, tiny_nyx, bf_config):
         plan = Campaign(tiny_nyx, bf_config).plan()
-        serial = list(SerialExecutor().map(plan))
-        parallel = list(ParallelExecutor(workers=3).map(plan))
+        contexts = {"plan": plan.context}
+        items = [("plan", spec) for spec in plan.specs]
+        serial = list(SerialExecutor().map_tagged(contexts, items))
+        parallel = list(ParallelExecutor(workers=3).map_tagged(contexts,
+                                                               items))
         assert serial == parallel
 
     def test_metadata_sweep_parallel_matches_serial(self, tiny_nyx):
@@ -146,7 +149,8 @@ class TestBoundedSubmission:
         plan = RunPlan(context=None,
                        specs=tuple(RunSpec(run_index=i) for i in range(n)))
         executor = ParallelExecutor(workers=2, chunk_size=8)
-        records = list(executor.map(plan))
+        records = [record for _, record in executor.map_tagged(
+            {"plan": plan.context}, [("plan", spec) for spec in plan.specs])]
         pool = _InstrumentedPool.last
         assert [r.run_index for r in records] == list(range(n))
         # Chunked dispatch: ceil(n / chunk_size) futures, not n.

@@ -83,7 +83,8 @@ class TestTaskPayloadSize:
                                context={"golden_image": b"x" * payload_bytes})
         executor = ParallelExecutor(workers=2, chunk_size=4,
                                     start_method=start_method)
-        records = list(executor.map(plan))
+        records = [record for _, record in executor.map_tagged(
+            {"plan": plan.context}, [("plan", spec) for spec in plan.specs])]
         assert records == plan.specs
         pool = _RecordingPool.last
         return pool.initargs_size, tuple(pool.submit_sizes)
@@ -126,11 +127,13 @@ class TestStartMethodParity:
                         reason="needs both fork and spawn")
     def test_fork_and_spawn_records_identical_to_serial(self):
         plan = self.plan()
-        serial = list(SerialExecutor().map(plan))
+        contexts = {"plan": plan.context}
+        items = [("plan", spec) for spec in plan.specs]
+        serial = list(SerialExecutor().map_tagged(contexts, items))
         fork = list(ParallelExecutor(
-            workers=2, start_method="fork").map(plan))
+            workers=2, start_method="fork").map_tagged(contexts, items))
         spawn = list(ParallelExecutor(
-            workers=2, start_method="spawn").map(plan))
+            workers=2, start_method="spawn").map_tagged(contexts, items))
         assert fork == serial
         assert spawn == serial
 

@@ -13,9 +13,11 @@ from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.engine import load_records_by_campaign
 from repro.core.outcomes import Outcome, RunRecord
-from repro.experiments.multifault import plan_multifault, run_multifault
+from repro.experiments.multifault import run_multifault
 from repro.experiments.registry import EXPERIMENTS
 from repro.fusefs.vfs import FFISFileSystem
+from repro.study import Study
+from repro.study.registry import multifault_spec
 
 from tests.test_scenario_determinism import ToyApp
 
@@ -97,8 +99,12 @@ class TestMultifaultDriver:
         assert "TOY-k2" in text
 
     def test_plan_cells_in_label_order(self):
-        plan, campaigns, _ = plan_multifault(
-            n_runs=2, seed=6, k_values=K_VALUES, apps={"TOY": ToyApp()})
+        study_plan = Study(
+            multifault_spec(n_runs=2, seed=6, k_values=K_VALUES,
+                            apps=(("TOY", "TOY"),)),
+            apps={"TOY": ToyApp()}).plan()
+        plan = study_plan.sweep
+        campaigns = {cell.key: cell.planner for cell in study_plan.cells}
         assert [cell.key for cell in plan.cells] == list(campaigns)
         assert list(campaigns) == ["TOY-k1", "TOY-k2", "TOY-k4"]
 

@@ -1,12 +1,8 @@
-"""Tests for the grid halo finder and the FoF clustering."""
+"""Tests for the grid halo finder."""
 
 import numpy as np
 import pytest
 
-from repro.apps.nyx.fof import (
-    friends_of_friends,
-    mean_interparticle_separation,
-)
 from repro.apps.nyx.halo_finder import (
     HaloCatalog,
     average_value_check,
@@ -106,60 +102,3 @@ class TestAverageValueCheck:
         rho = np.ones((4, 4, 4))
         rho[0, 0, 0] = np.nan
         assert not average_value_check(rho)
-
-
-class TestFriendsOfFriends:
-    def two_clusters(self, rng, n=60, spread=0.05):
-        a = rng.normal(0, spread, (n, 3)) + [1, 1, 1]
-        b = rng.normal(0, spread, (n, 3)) + [4, 4, 4]
-        return np.vstack([a, b])
-
-    def test_finds_two_groups(self, rng):
-        positions = self.two_clusters(rng)
-        groups = friends_of_friends(positions, linking_length=0.3, min_members=10)
-        assert len(groups) == 2
-        assert {g.size for g in groups} == {60}
-
-    def test_linking_length_merges(self, rng):
-        positions = self.two_clusters(rng)
-        groups = friends_of_friends(positions, linking_length=10.0, min_members=10)
-        assert len(groups) == 1
-        assert groups[0].size == 120
-
-    def test_min_members_filters(self, rng):
-        positions = self.two_clusters(rng, n=5)
-        assert friends_of_friends(positions, 0.3, min_members=8) == []
-
-    def test_masses_weight_center(self, rng):
-        positions = np.array([[0.0, 0, 0], [1.0, 0, 0]] * 5)
-        masses = np.array([3.0, 1.0] * 5)
-        groups = friends_of_friends(positions, 1.5, masses=masses, min_members=2)
-        assert groups[0].center[0] == pytest.approx(0.25)
-
-    def test_periodic_box(self, rng):
-        a = rng.normal(0.05, 0.01, (20, 3)) % 10.0
-        b = rng.normal(9.95, 0.01, (20, 3)) % 10.0
-        positions = np.vstack([a, b])
-        open_groups = friends_of_friends(positions, 0.5, min_members=10)
-        wrapped = friends_of_friends(positions, 0.5, min_members=10, box_size=10.0)
-        assert len(open_groups) == 2
-        assert len(wrapped) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            friends_of_friends(np.zeros((3, 2)), 0.1)
-        with pytest.raises(ValueError):
-            friends_of_friends(np.zeros((3, 3)), -1.0)
-        with pytest.raises(ValueError):
-            friends_of_friends(np.zeros((3, 3)), 0.1, masses=np.ones(2))
-
-    def test_mean_separation(self):
-        assert mean_interparticle_separation(1000, 10.0) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            mean_interparticle_separation(0, 1.0)
-
-    def test_groups_sorted_by_mass(self, rng):
-        a = rng.normal(0, 0.05, (30, 3))
-        b = rng.normal(5, 0.05, (80, 3))
-        groups = friends_of_friends(np.vstack([a, b]), 0.4, min_members=10)
-        assert groups[0].size == 80

@@ -14,17 +14,26 @@ finder outputs.  Because criterion 1 is *relative to the dataset
 average*, global shifts of the field (dropped writes, exponent-bias
 metadata faults) move the threshold with the data -- the mechanism behind
 several of the paper's observations.
+
+After the threshold pass the finder touches the candidates only (115 of
+the 262,144 cells of the golden 64^3 field): their ascending flat indices feed the
+labeler (:func:`~repro.apps.nyx.labeling.label_flat`) and ``np.bincount``
+sums each halo's cells, mass and centre.  The catalog is bit for bit the
+one a whole-volume pass gives: the average is the same float64 mean,
+each label's cells arrive in the same ascending flat order, so every
+float sum adds the same operands in the same order, and
+``np.unravel_index`` gives the same integer coordinates.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.apps.nyx.labeling import label_components
+from repro.apps.nyx.labeling import label_flat
 
 DEFAULT_THRESHOLD_FACTOR = 81.66
 DEFAULT_MIN_CELLS = 8
@@ -86,6 +95,24 @@ class HaloCatalog:
         return out.getvalue()
 
 
+def _candidates(rho: np.ndarray, threshold_factor: float
+                ) -> Tuple[np.ndarray, float, float, np.ndarray]:
+    """The candidate rule: ``(values, average, threshold, flat)``.
+
+    *values* is the field as float64 and *average* its mean; *flat*
+    holds the ascending flat indices of the cells above
+    ``threshold_factor * average``, and is empty when the average is
+    not finite.  A finite average means every cell is finite (one NaN
+    or infinity makes the sum non-finite), so no candidate is.
+    """
+    values = np.asarray(rho, dtype=np.float64)
+    average = float(values.mean())
+    threshold = threshold_factor * average
+    if not np.isfinite(average):
+        return values, average, threshold, np.empty(0, dtype=np.intp)
+    return values, average, threshold, np.flatnonzero(values > threshold)
+
+
 def find_halos(rho: np.ndarray,
                threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
                min_cells: int = DEFAULT_MIN_CELLS,
@@ -98,65 +125,43 @@ def find_halos(rho: np.ndarray,
     """
     if rho.ndim != 3:
         raise ValueError(f"expected a 3-D density field, got {rho.ndim}-D")
-    values = np.asarray(rho, dtype=np.float64)
-    average = float(values.mean())
-    threshold = threshold_factor * average
+    values, average, threshold, flat = _candidates(rho, threshold_factor)
+    catalog = HaloCatalog(average_value=average, threshold=threshold,
+                          n_candidates=len(flat))
+    if not len(flat) or threshold <= 0 or len(flat) > values.size // 10:
+        # No candidates, or degenerate input (a negative/garbage average
+        # turning most of the box into "candidates"): the finder bails
+        # out with no halos, the visible failure the detected class
+        # captures.
+        return catalog
 
-    if not np.isfinite(average):
-        return HaloCatalog(halos=[], average_value=average,
-                           threshold=threshold, n_candidates=0)
-
-    with np.errstate(invalid="ignore"):
-        candidates = values > threshold
-    candidates &= np.isfinite(values)
-    n_candidates = int(candidates.sum())
-    if n_candidates == 0:
-        return HaloCatalog(halos=[], average_value=average,
-                           threshold=threshold, n_candidates=0)
-    if threshold <= 0 or n_candidates > values.size // 10:
-        # Degenerate input (negative/garbage average turning most of the
-        # box into "candidates"): the finder bails out with no halos, the
-        # visible failure the detected class captures.
-        return HaloCatalog(halos=[], average_value=average,
-                           threshold=threshold, n_candidates=n_candidates)
-
-    labels, n_components = label_components(candidates, periodic=periodic)
-    halos: List[Halo] = []
-    if n_components:
-        flat_labels = labels.ravel()
-        flat_values = values.ravel()
-        counts = np.bincount(flat_labels, minlength=n_components + 1)
-        masses = np.bincount(flat_labels, weights=flat_values,
-                             minlength=n_components + 1)
-        coords = np.unravel_index(np.arange(values.size), values.shape)
-        centers = np.empty((n_components + 1, 3), dtype=np.float64)
-        for axis in range(3):
-            weighted = np.bincount(flat_labels,
-                                   weights=flat_values * coords[axis],
-                                   minlength=n_components + 1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                centers[:, axis] = weighted / masses
-        for label in range(1, n_components + 1):
-            if counts[label] >= min_cells:
-                halos.append(Halo(position=centers[label],
-                                  n_cells=int(counts[label]),
-                                  mass=float(masses[label])))
+    coords = np.unravel_index(flat, values.shape)
+    component, n_components = label_flat(flat, coords, values.shape,
+                                         periodic=periodic)
+    weights = np.take(values, flat)
+    counts = np.bincount(component, minlength=n_components)
+    masses = np.bincount(component, weights=weights, minlength=n_components)
+    centers = np.empty((n_components, 3), dtype=np.float64)
+    for axis in range(3):
+        weighted = np.bincount(component, weights=weights * coords[axis],
+                               minlength=n_components)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            centers[:, axis] = weighted / masses
+    for label in range(n_components):
+        if counts[label] >= min_cells:
+            catalog.halos.append(Halo(position=centers[label],
+                                      n_cells=int(counts[label]),
+                                      mass=float(masses[label])))
     # Deterministic ordering: by first (z, y, x) centre coordinate.
-    halos.sort(key=lambda h: (h.position[0], h.position[1], h.position[2]))
-    return HaloCatalog(halos=halos, average_value=average,
-                       threshold=threshold, n_candidates=n_candidates)
+    catalog.halos.sort(
+        key=lambda h: (h.position[0], h.position[1], h.position[2]))
+    return catalog
 
 
 def candidate_count(rho: np.ndarray,
                     threshold_factor: float = DEFAULT_THRESHOLD_FACTOR) -> int:
     """Number of halo-cell candidates (Fig. 6's comparison metric)."""
-    values = np.asarray(rho, dtype=np.float64)
-    average = float(values.mean())
-    if not np.isfinite(average):
-        return 0
-    with np.errstate(invalid="ignore"):
-        mask = values > threshold_factor * average
-    return int((mask & np.isfinite(values)).sum())
+    return len(_candidates(rho, threshold_factor)[3])
 
 
 def average_value_check(rho: np.ndarray, expected_mean: float = 1.0,

@@ -1,14 +1,24 @@
 """Connected-component labeling of 3-D boolean masks.
 
-A from-scratch two-pass union-find labeler with 6-connectivity (face
-neighbours), the clustering step of the grid halo finder.  Implemented
-with vectorized neighbour scans: the only Python-level loop is over the
-(few) provisional label merges, never over voxels.
+A from-scratch union-find labeler with 6-connectivity (face
+neighbours), the clustering step of the grid halo finder.  It works on
+the foreground voxels alone: their ascending flat (C-order) indices are
+its whole input (:func:`label_flat`), so its time and memory follow the
+foreground, not the volume.  Face neighbours are found by sorted lookup
+-- ``np.searchsorted`` of ``index + stride`` -- and the only
+Python-level loop is over the unions of those neighbour pairs, never
+over voxels.
+
+The labels are the ones a dense scan of the whole box gives.  The
+union-find is indexed by position in the ascending index list, so
+position order is flat order; a union keeps the smaller id as the root,
+so every component's root is its first voxel; and components are
+numbered by root, that is, in first-voxel order.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +57,43 @@ class DisjointSet:
             parent = grand
 
 
+def _union_neighbours(dsu: DisjointSet, flat: np.ndarray,
+                      sources: np.ndarray, offset: int) -> None:
+    """Union each voxel ``flat[s]``, *s* in *sources*, with the voxel at
+    flat index ``flat[s] + offset`` wherever that one is foreground."""
+    targets = flat[sources] + offset
+    found = np.minimum(np.searchsorted(flat, targets), len(flat) - 1)
+    hit = flat[found] == targets
+    for a, b in zip(sources[hit].tolist(), found[hit].tolist()):
+        dsu.union(a, b)
+
+
+def label_flat(flat: np.ndarray, coords: Sequence[np.ndarray],
+               shape: Tuple[int, int, int],
+               periodic: bool = False) -> Tuple[np.ndarray, int]:
+    """Label the 6-connected components of a sparse foreground.
+
+    *flat* holds the foreground's ascending flat indices in a box of
+    *shape*, and *coords* their ``np.unravel_index``.  Returns
+    ``(component, n_components)``: ``component[i]`` in
+    ``[0, n_components)`` numbers the component of voxel ``flat[i]``, in
+    first-voxel order.  With ``periodic=True`` opposite faces are
+    adjacent.  The pairs are unioned in a dense scan's order: per axis,
+    each voxel with its successor, then the wrap pairs from the first
+    plane to the last.
+    """
+    dsu = DisjointSet(len(flat))
+    strides = (shape[1] * shape[2], shape[2], 1)
+    for axis, (size, stride) in enumerate(zip(shape, strides)):
+        coord = coords[axis]
+        _union_neighbours(dsu, flat, np.flatnonzero(coord < size - 1), stride)
+        if periodic and size > 1:
+            _union_neighbours(dsu, flat, np.flatnonzero(coord == 0),
+                              (size - 1) * stride)
+    roots, component = np.unique(dsu.roots(), return_inverse=True)
+    return component, len(roots)
+
+
 def label_components(mask: np.ndarray, periodic: bool = False) -> Tuple[np.ndarray, int]:
     """Label 6-connected components of a 3-D boolean *mask*.
 
@@ -57,44 +104,11 @@ def label_components(mask: np.ndarray, periodic: bool = False) -> Tuple[np.ndarr
     """
     if mask.ndim != 3:
         raise ValueError(f"expected a 3-D mask, got {mask.ndim}-D")
-    mask = np.ascontiguousarray(mask, dtype=bool)
-    n = mask.size
-    if n == 0 or not mask.any():
-        return np.zeros(mask.shape, dtype=np.int64), 0
-
-    flat_index = np.arange(n, dtype=np.int64).reshape(mask.shape)
-    dsu = DisjointSet(n)
-
-    def merge_axis(axis: int) -> None:
-        # Pairs of adjacent foreground voxels along *axis*.
-        a = [slice(None)] * 3
-        b = [slice(None)] * 3
-        a[axis] = slice(0, -1)
-        b[axis] = slice(1, None)
-        both = mask[tuple(a)] & mask[tuple(b)]
-        ia = flat_index[tuple(a)][both]
-        ib = flat_index[tuple(b)][both]
-        for x, y in zip(ia.tolist(), ib.tolist()):
-            dsu.union(x, y)
-        if periodic and mask.shape[axis] > 1:
-            lo = [slice(None)] * 3
-            hi = [slice(None)] * 3
-            lo[axis] = 0
-            hi[axis] = mask.shape[axis] - 1
-            wrap = mask[tuple(lo)] & mask[tuple(hi)]
-            ia = flat_index[tuple(lo)][wrap]
-            ib = flat_index[tuple(hi)][wrap]
-            for x, y in zip(ia.tolist(), ib.tolist()):
-                dsu.union(x, y)
-
-    for axis in range(3):
-        merge_axis(axis)
-
-    roots = dsu.roots().reshape(mask.shape)
-    fg_roots = roots[mask]
-    unique_roots = np.unique(fg_roots)
-    lut = np.zeros(n, dtype=np.int64)
-    lut[unique_roots] = np.arange(1, len(unique_roots) + 1)
     labels = np.zeros(mask.shape, dtype=np.int64)
-    labels[mask] = lut[fg_roots]
-    return labels, int(len(unique_roots))
+    flat = np.flatnonzero(mask)
+    if not len(flat):
+        return labels, 0
+    component, n_components = label_flat(
+        flat, np.unravel_index(flat, mask.shape), mask.shape, periodic)
+    labels.reshape(-1)[flat] = component + 1
+    return labels, n_components

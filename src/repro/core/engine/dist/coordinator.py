@@ -156,6 +156,12 @@ class Coordinator:
             quarantine_after=self.quarantine_after)
         return self.queue
 
+    def runs_published(self) -> int:
+        """How many runs the leases with a published segment hold."""
+        done = self.queue.settled_names()
+        return sum(len(lease) for lease in self.leases
+                   if f"{lease.lease_id}.json" in done)
+
     def finish(self, results_path: Optional[str] = None, *,
                overwrite: bool = False,
                partial: bool = False,
@@ -265,7 +271,10 @@ def execute_distributed(plan: SweepPlan, root: str, *,
     settled and only the remainder executes.  ``io``/``retry`` are the
     chaos seam and transient-retry policy handed to the queue and every
     forked worker.  ``progress(counts)`` receives the queue's lease
-    counts once per poll.
+    counts once per poll, with two run counts added: ``runs`` (the
+    plan's size) and ``runs_done`` (the runs in leases whose segments
+    are published).  One last call follows the merge, with
+    ``runs_done`` the number of runs merged.
     """
     # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
     start = time.perf_counter()
@@ -286,6 +295,10 @@ def execute_distributed(plan: SweepPlan, root: str, *,
                               io=io, retry=retry,
                               quarantine_after=quarantine_after)
     queue = coordinator.post(reuse=resume)
+
+    def _report(runs_done: int) -> None:
+        progress(dict(queue.counts(), runs=len(plan), runs_done=runs_done))
+
     budget = max_respawns if max_respawns is not None else 4 * workers
     report = DegradationReport()
     procs: Dict[str, multiprocessing.Process] = {}
@@ -313,7 +326,7 @@ def execute_distributed(plan: SweepPlan, root: str, *,
             except OSError:
                 pass  # expiry is best-effort; the next sweep retries
             if progress is not None:
-                progress(queue.counts())
+                _report(coordinator.runs_published())
             for worker_id in sorted(procs):
                 proc = procs[worker_id]
                 if not proc.is_alive() and not queue.settled():
@@ -388,6 +401,8 @@ def execute_distributed(plan: SweepPlan, root: str, *,
     merged, stats = coordinator.finish(results_path=results_path,
                                        overwrite=True, partial=partial,
                                        extra=extra)
+    if progress is not None:
+        _report(stats.total)
     report.quarantined = queue.counts()["quarantined"]
     report.holes = stats.holes
     result = SweepResult(records=merged, executed=stats.total)

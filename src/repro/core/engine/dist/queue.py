@@ -540,7 +540,7 @@ class FileQueue:
     def counts(self) -> Dict[str, int]:
         return {"pending": self._count(self.pending_dir),
                 "leased": len(self._leased_names()),
-                "done": len(self._settled_names()),
+                "done": len(self.settled_names()),
                 "quarantined": self._quarantined_count(),
                 "total": len(self.lease_ids)}
 
@@ -609,7 +609,7 @@ class FileQueue:
                         "reason": "unparseable lease file quarantined"})
         return out
 
-    def _settled_names(self) -> Set[str]:
+    def settled_names(self) -> Set[str]:
         """:meth:`_published` for polls: no retries; empty while
         ``shards/`` cannot be listed."""
         try:
@@ -619,14 +619,14 @@ class FileQueue:
 
     def all_done(self) -> bool:
         """Every manifest lease has a published segment."""
-        done = self._settled_names()
+        done = self.settled_names()
         return all(f"{lease_id}.json" in done for lease_id in self.lease_ids)
 
     def settled(self) -> bool:
         """Every manifest lease is either done or quarantined: the
         campaign cannot make further progress and should wrap up
         (fully if ``all_done``, partially otherwise)."""
-        done = self._settled_names() | self._quarantined_lease_names()
+        done = self.settled_names() | self._quarantined_lease_names()
         return all(f"{lease_id}.json" in done for lease_id in self.lease_ids)
 
     def idle(self) -> bool:

@@ -91,6 +91,14 @@ def _place_worker() -> None:
         pass
 
 
+def _allowed_cpus() -> int:
+    """How many CPUs this process may run on (its affinity mask, where
+    the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_span(start: int, stop: int) -> list:
     """Execute work items ``[start, stop)`` against the worker state."""
     from repro.core.engine.runner import execute_run_spec
@@ -158,6 +166,13 @@ class ParallelExecutor(Executor):
 
     Each worker starts on its own CPU (:func:`_place_worker`), so a short
     plan does not wait for the scheduler to spread the pool.
+
+    The pool forks at most one process per CPU the parent may run on
+    (:func:`_allowed_cpus`); chunking and the in-flight window still
+    follow the requested ``workers``.  A forked child's first chunk pays
+    the page faults of first touching a run's working set, so children
+    beyond the CPU count add that cost without a CPU to absorb it --
+    which matters once runs take milliseconds.
     """
 
     #: In-flight futures allowed per worker.  Enough to keep every
@@ -215,7 +230,8 @@ class ParallelExecutor(Executor):
         else:
             initargs = (None, payload)
         chunk = self._chunk_for(len(items))
-        pool = ProcessPoolExecutor(max_workers=self.workers,
+        pool = ProcessPoolExecutor(max_workers=min(self.workers,
+                                                   _allowed_cpus()),
                                    mp_context=mp_context,
                                    initializer=_init_worker,
                                    initargs=initargs)

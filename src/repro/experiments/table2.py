@@ -76,7 +76,8 @@ def run_table2(workers: int = 1) -> Table2Result:
     signature = FaultSignature(model=BitFlipFault())
     specs = [
         (nyx_default(), nyx_pkg, "Astrophysics",
-         "AMR-style cosmological density snapshot + FoF halo finder"),
+         "AMR-style cosmological density snapshot + grid halo finder "
+         "(threshold candidates, 6-connected clusters)"),
         (qmcpack_default(), qmcpack_pkg, "Quantum Chemistry",
          "VMC+DMC quantum Monte Carlo for the He atom"),
         (montage_default(), montage_pkg, "Astronomy",

@@ -51,7 +51,9 @@ def serve_study(plan: StudyPlan, queue_root: str, *,
 
     Runs the coordinator loop with zero local workers: post the plan's
     leases at *queue_root*, then expire stale claims and report
-    ``progress(counts)`` once per poll until every lease settles.
+    ``progress(counts)`` (lease counts plus ``runs`` and ``runs_done``,
+    as :func:`~repro.core.engine.dist.execute_distributed` documents)
+    once per poll until every lease settles, and once after the merge.
     Workers -- started by hand, by a scheduler, on other hosts --
     attach with ``repro worker`` pointed at the same directory.  The
     shards are then merged (to *results_path*, if given) and the fleet

@@ -108,7 +108,10 @@ class StudyPlan:
         processes through the queue directory at ``queue_root``, and
         merged back into a result -- and checkpoint -- byte-identical
         to serial execution.  Fallbacks the fleet took are reported on
-        ``result.degradation``.  Without ``queue_root`` the queue is a
+        ``result.degradation``.  ``progress(completed, total)`` is then
+        called once per coordinator poll, ``completed`` counting the
+        runs in leases whose segments are published, and once more
+        after the merge, with every merged run counted.  Without ``queue_root`` the queue is a
         throwaway temporary directory: it is removed when the call
         returns, and kept (for a resume with an explicit
         ``queue_root``) when the call raises.
@@ -134,7 +137,10 @@ class StudyPlan:
                 self.sweep, queue_root, workers=hosts,
                 results_path=results_path, resume=resume,
                 quarantine_after=DEFAULT_QUARANTINE_AFTER
-                if quarantine_after is None else quarantine_after)
+                if quarantine_after is None else quarantine_after,
+                progress=None if progress is None else (
+                    lambda counts: progress(counts["runs_done"],
+                                            counts["runs"])))
             if throwaway:
                 shutil.rmtree(queue_root)
         else:

@@ -786,6 +786,17 @@ class TestStudyDistributed:
         assert not [name for name in os.listdir(tmp_path)
                     if name.startswith("repro-queue-")]
 
+    def test_progress_counts_runs_up_to_the_total(self, tmp_path):
+        plan = Study(self.toy_spec(), apps=self.apps()).plan()
+        calls = []
+        plan.execute(hosts=2, queue_root=str(tmp_path / "queue"),
+                     progress=lambda done, total: calls.append((done, total)))
+        total = len(plan)
+        assert calls and calls[-1] == (total, total)
+        assert {t for _, t in calls} == {total}
+        done = [d for d, _ in calls]
+        assert done == sorted(done)
+
     def test_resume_without_queue_root_is_an_error(self, tmp_path):
         plan = Study(self.toy_spec(), apps=self.apps()).plan()
         with pytest.raises(FFISError, match="queue_root"):

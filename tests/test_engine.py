@@ -112,6 +112,7 @@ class _InstrumentedPool:
                  initializer=None, initargs=()):
         if initializer is not None:
             initializer(*initargs)
+        self.max_workers = max_workers
         self.outstanding = 0
         self.max_outstanding = 0
         self.submissions = 0
@@ -127,20 +128,24 @@ class _InstrumentedPool:
         pass
 
 
+@pytest.fixture
+def instrumented_pool(monkeypatch):
+    """Swap the process pool for :class:`_InstrumentedPool` and every
+    run for a stub record."""
+    from repro.core.engine import executor as executor_module
+    from repro.core.engine import runner as runner_module
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                        _InstrumentedPool)
+    monkeypatch.setattr(
+        runner_module, "execute_run_spec",
+        lambda context, spec: RunRecord(spec.run_index, Outcome.BENIGN))
+
+
+@pytest.mark.usefixtures("instrumented_pool")
 class TestBoundedSubmission:
     """The parallel backend must stream specs through a bounded window,
     not materialize O(n) futures upfront (the million-run scale target)."""
-
-    @pytest.fixture(autouse=True)
-    def _instrument(self, monkeypatch):
-        from repro.core.engine import executor as executor_module
-        from repro.core.engine import runner as runner_module
-
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
-                            _InstrumentedPool)
-        monkeypatch.setattr(
-            runner_module, "execute_run_spec",
-            lambda context, spec: RunRecord(spec.run_index, Outcome.BENIGN))
 
     def test_in_flight_futures_stay_bounded(self):
         from repro.core.engine import RunPlan
@@ -169,6 +174,45 @@ class TestBoundedSubmission:
         assert {key for key, _ in results} == {"cell"}
         assert pool.max_outstanding <= \
             3 * ParallelExecutor.IN_FLIGHT_PER_WORKER
+
+
+@pytest.mark.usefixtures("instrumented_pool")
+class TestPoolCap:
+    """The pool forks at most one process per allowed CPU; chunking and
+    the in-flight window still follow the requested workers."""
+
+    N = 100
+    ITEMS = [("cell", RunSpec(run_index=i)) for i in range(N)]
+
+    def pool_for(self, monkeypatch, cpus: int):
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        records = list(ParallelExecutor(workers=4).map_tagged(
+            {"cell": None}, self.ITEMS))
+        assert records == list(SerialExecutor().map_tagged(
+            {"cell": None}, self.ITEMS))
+        return _InstrumentedPool.last
+
+    def test_two_cpus_fork_two_processes(self, monkeypatch):
+        pool = self.pool_for(monkeypatch, cpus=2)
+        assert pool.max_workers == 2
+        # 4 workers' chunks (100 // 16 = 6 runs) and window (16 chunks).
+        assert pool.submissions == -(-self.N // 6)
+        assert pool.max_outstanding == 4 * ParallelExecutor.IN_FLIGHT_PER_WORKER
+
+    def test_more_cpus_than_workers_fork_workers(self, monkeypatch):
+        assert self.pool_for(monkeypatch, cpus=8).max_workers == 4
+
+    def test_without_affinity_the_cpu_count_caps(self, monkeypatch):
+        import os
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        list(ParallelExecutor(workers=4).map_tagged({"cell": None},
+                                                    self.ITEMS))
+        assert _InstrumentedPool.last.max_workers == 3
 
 
 class TestWorkerPlacement:

@@ -7,6 +7,9 @@ Two load-bearing contracts of the API redesign:
   JSONL checkpoints byte-identical to the pre-redesign drivers.  The
   committed fixtures under ``tests/data/study_*.jsonl`` were generated
   by the pre-study drivers and whole-file compared here on every run.
+  ``study_table4.jsonl`` pins the targeted metadata route the same way;
+  it was generated through the registered spec before that route moved
+  from the study compiler into ``MetadataCampaign.plan_cell``.
 * **specs are the study** -- a spec survives spec -> TOML -> spec ->
   ``plan()`` with a record-identical run, so a study shipped as a TOML
   file reproduces exactly.
@@ -36,6 +39,7 @@ from tests.test_scenario_determinism import DATA_DIR, ToyApp
 FIGURE7_FIXTURE = os.path.join(DATA_DIR, "study_figure7.jsonl")
 MULTIFAULT_FIXTURE = os.path.join(DATA_DIR, "study_multifault.jsonl")
 TABLE3_FIXTURE = os.path.join(DATA_DIR, "study_table3.jsonl")
+TABLE4_FIXTURE = os.path.join(DATA_DIR, "study_table4.jsonl")
 
 
 def fixture_nyx() -> NyxApplication:
@@ -104,6 +108,19 @@ class TestGoldenFixtures:
         results = Study(spec).run(results_path=path)
         assert filecmp.cmp(TABLE3_FIXTURE, path, shallow=False)
         assert "Table III" in definition.render(results)
+
+    def test_table4_registered_study_matches_fixture(self, tmp_path):
+        # The targeted metadata route: six named (field, byte, bit)
+        # corruptions of the penultimate write, on the 24^3 Nyx so the
+        # checkpoint is as host-stable as the Table III one.
+        from repro.experiments.params import nyx_small
+
+        definition = get_study("table4")
+        path = str(tmp_path / "table4.jsonl")
+        results = Study(definition.build(), apps={"nyx": nyx_small()}) \
+            .run(results_path=path)
+        assert filecmp.cmp(TABLE4_FIXTURE, path, shallow=False)
+        assert "Table IV" in definition.render(results)
 
 
 class TestSpecTomlPlanRoundTrip:

@@ -129,7 +129,11 @@ class GoldenRecord:
     snapshotted before the capture's own output reads so they match a
     plain profiled execution exactly.  They let a campaign derive its
     :class:`~repro.core.profiler.ProfileResult` from the golden capture
-    instead of paying a second fault-free run.
+    instead of paying a second fault-free run.  ``writes`` is the
+    ``(offset, size)`` of every fault-free ``ffis_write``, indexed by
+    its sequence number; the metadata campaign derives the penultimate
+    write it sweeps from it, so that campaign needs no run of its own
+    either.
     """
 
     outputs: Dict[str, bytes] = field(default_factory=dict)
@@ -138,6 +142,7 @@ class GoldenRecord:
     total_writes: int = 0
     primitive_counts: Dict[str, int] = field(default_factory=dict)
     bytes_written: int = 0
+    writes: List[Tuple[int, int]] = field(default_factory=list)
     replay: Optional[ReplayImage] = None
 
     def phase(self, name: str) -> PhaseSpan:
@@ -331,31 +336,30 @@ class HpcApplication(ABC):
         a plain execution.
         """
         interposer = mp.fs.interposer
-        written = {"bytes": 0}
+        writes: List[Tuple[int, int]] = []
 
-        def byte_counter(call):
+        def write_log(call):
             if call.primitive == "ffis_write":
-                size = call.args.get("size")
-                if isinstance(size, int):
-                    written["bytes"] += size
+                writes.append((call.args["offset"], call.args["size"]))
             return None
 
         replay = None
-        interposer.add_global_hook(byte_counter)
+        interposer.add_global_hook(write_log)
         try:
             if self.steps() is not None and mp.fs.supports_snapshots:
                 replay = self._execute_capturing_replay(mp)
             else:
                 self.execute(mp)
         finally:
-            interposer.remove_global_hook(byte_counter)
+            interposer.remove_global_hook(write_log)
         golden = GoldenRecord()
         golden.phases = self.recorded_phases
         golden.total_writes = interposer.count("ffis_write")
         # Snapshot the profile before our own output reads below pollute
         # the read counters: these must equal a plain profiled run.
         golden.primitive_counts = dict(interposer.counters_snapshot())
-        golden.bytes_written = written["bytes"]
+        golden.bytes_written = sum(size for _, size in writes)
+        golden.writes = writes
         for path in self.output_paths():
             golden.outputs[path] = mp.read_file(path)
         golden.analysis = self.analyze(mp)

@@ -29,6 +29,7 @@ from repro.core.engine import (
     RunPlan,
     RunSpec,
     SweepCell,
+    capture_golden,
     execute_plan,
     execute_run_spec,
     golden_digest,
@@ -39,7 +40,6 @@ from repro.core.profiler import IOProfiler, ProfileResult
 from repro.core.scenario import FaultScenario, SingleFault, as_scenario
 from repro.core.signature import FaultSignature
 from repro.errors import FFISError
-from repro.fusefs.mount import mount
 from repro.fusefs.vfs import FFISFileSystem
 from repro.util.rngstream import RngStream
 
@@ -142,9 +142,7 @@ class Campaign:
             phases=list(golden.phases))
 
     def capture_golden(self) -> GoldenRecord:
-        fs = self.fs_factory()
-        with mount(fs) as mp:
-            return self.app.capture_golden(mp)
+        return capture_golden(self.app, self.fs_factory)
 
     def run_once(self, instance: int, run_rng_seed: int,
                  run_index: int, golden: GoldenRecord) -> RunRecord:
@@ -227,10 +225,7 @@ class Campaign:
         derived from that same capture, not paid for separately.
         """
         golden = cache.golden(self.app, self.fs_factory, self.capture_golden)
-        profile = cache.derived_profile(
-            self.app, self.fs_factory, self.signature.primitive,
-            lambda: self.profile_from_golden(golden))
-        plan = self.plan(n_runs, profile=profile, golden=golden)
+        plan = self.plan(n_runs, golden=golden)
         return SweepCell(key=key, plan=plan,
                          campaign_id=self.campaign_id(golden))
 

@@ -50,6 +50,7 @@ from repro.core.engine.sweep import (
     SweepCell,
     SweepPlan,
     SweepResult,
+    capture_golden,
     execute_sweep,
 )
 
@@ -73,6 +74,7 @@ __all__ = [
     "SweepPlan",
     "SweepResult",
     "TallySink",
+    "capture_golden",
     "choose_boundary",
     "completed_indices",
     "execute_distributed",

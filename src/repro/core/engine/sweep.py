@@ -8,9 +8,10 @@ same golden outputs for bit-identical results.  A :class:`SweepPlan`
 fuses many campaign plans into one execution:
 
 * a shared :class:`ProfileGoldenCache` keyed by application identity,
-  so each distinct app configuration is profiled and golden-captured
-  exactly once per sweep -- the same amortization FFIS applies to its
-  one fault-free profile across all injections, lifted to the grid;
+  so each distinct app configuration is golden-captured exactly once
+  per sweep, and every cell derives its profile or metadata-write site
+  from that capture -- the same amortization FFIS applies to its one
+  fault-free profile across all injections, lifted to the grid;
 * one **multiplexed JSONL checkpoint**: every line carries its cell's
   campaign stamp, so a killed sweep resumes by re-executing only the
   missing ``(cell, run index)`` pairs, and a checkpoint from an
@@ -41,6 +42,7 @@ from typing import (
     Tuple,
 )
 
+from repro.apps.base import GoldenRecord, HpcApplication
 from repro.core.engine.executor import make_executor
 from repro.core.engine.plan import RunPlan, RunSpec
 from repro.core.engine.sink import (
@@ -51,8 +53,19 @@ from repro.core.engine.sink import (
 )
 from repro.core.outcomes import RunRecord
 from repro.errors import FFISError
+from repro.fusefs.mount import mount
 
 Progress = Callable[[int, int], None]
+
+
+def capture_golden(app: HpcApplication, fs_factory: Callable[[], Any]
+                   ) -> GoldenRecord:
+    """The application's fault-free run: one golden capture on a fresh
+    file system from *fs_factory*.  Every campaign kind plans from this
+    one record -- the I/O profile and the metadata-write site are both
+    derived from it."""
+    with mount(fs_factory()) as mp:
+        return app.capture_golden(mp)
 
 
 class ProfileGoldenCache:
@@ -60,12 +73,15 @@ class ProfileGoldenCache:
 
     Cells are keyed by the *identity* of their application object (and
     file-system factory): two cells planned over the same application
-    instance -- e.g. the twelve Montage stage x model cells of Fig. 7 --
-    compute the golden record and the metadata-write location at most
-    once each, however many cells share them.  Every I/O profile is
-    derived from the golden capture (:meth:`derived_profile`), so it
-    costs no run of its own.  The ``*_runs`` counters report how many
-    fault-free executions the sweep actually paid for.
+    instance -- e.g. the twelve Montage stage x model cells of Fig. 7,
+    or a fault cell and a metadata cell, in either order -- share one
+    golden capture, however many cells plan from it.  Each cell derives
+    what else it needs from that record: an I/O profile
+    (:meth:`~repro.core.campaign.Campaign.profile_from_golden`) or the
+    metadata-write site
+    (:meth:`~repro.core.metadata_campaign.MetadataCampaign.site_from_golden`),
+    so neither costs a run of its own.  :meth:`fault_free_runs` reports
+    how many fault-free executions the sweep actually paid for.
 
     The cached golden record carries the prefix-replay snapshot set
     (:attr:`repro.apps.base.GoldenRecord.replay`), so all cells over
@@ -75,58 +91,25 @@ class ProfileGoldenCache:
     """
 
     def __init__(self) -> None:
-        self._profiles: Dict[tuple, Any] = {}
         self._goldens: Dict[tuple, Any] = {}
-        self._located: Dict[tuple, Any] = {}
         # Pin keyed objects so id()-based keys stay unique for the
         # cache's lifetime.
         self._pinned: List[Any] = []
         self.golden_runs = 0
-        self.locate_runs = 0
-
-    def _key(self, app: Any, fs_factory: Any, *extra: Any) -> tuple:
-        self._pinned.append((app, fs_factory))
-        return (id(app), id(fs_factory)) + extra
-
-    def derived_profile(self, app: Any, fs_factory: Any, primitive: str,
-                        compute: Callable[[], Any]) -> Any:
-        """The app's I/O profile for *primitive*; *compute* derives it
-        from an already-captured golden record instead of executing the
-        application, so a miss costs no fault-free run."""
-        key = self._key(app, fs_factory, primitive)
-        if key not in self._profiles:
-            self._profiles[key] = compute()
-        return self._profiles[key]
 
     def golden(self, app: Any, fs_factory: Any,
                compute: Callable[[], Any]) -> Any:
         """The app's golden record (one fault-free run)."""
-        key = self._key(app, fs_factory)
+        key = (id(app), id(fs_factory))
         if key not in self._goldens:
             self._goldens[key] = compute()
+            self._pinned.append((app, fs_factory))
             self.golden_runs += 1
         return self._goldens[key]
 
-    def locate(self, app: Any, fs_factory: Any,
-               compute: Callable[[], Tuple[Any, Any]]) -> Tuple[Any, Any]:
-        """The app's ``(metadata write info, golden)`` trace (one run).
-
-        The locate run *is* a golden capture with a tracer attached, so
-        its golden also primes :meth:`golden` -- a sweep mixing
-        instance-targeted and metadata cells over one app still
-        captures that app's golden exactly once.
-        """
-        key = self._key(app, fs_factory)
-        if key not in self._located:
-            info, golden = compute()
-            self._located[key] = (info, golden)
-            self.locate_runs += 1
-            self._goldens.setdefault(key, golden)
-        return self._located[key]
-
     def fault_free_runs(self) -> int:
         """Total fault-free application executions this cache paid for."""
-        return self.golden_runs + self.locate_runs
+        return self.golden_runs
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ The paper keys on how the HDF5 library creates a file: raw data writes
 first, then one packed metadata write (the **penultimate** ``fwrite``),
 then the close/unlock.  The campaign:
 
-1. traces a fault-free run to find the penultimate ``ffis_write`` and its
-   buffer extent,
+1. reads the penultimate ``ffis_write`` and its buffer extent off the
+   golden capture's write log (the one fault-free run every campaign
+   kind plans from; see :attr:`repro.apps.base.GoldenRecord.writes`),
 2. for every byte offset in that buffer (from the write's file offset to
    the end of the buffer), runs the application with exactly that byte
    corrupted (one bit flipped, or every bit in ``all-bits`` mode),
@@ -32,6 +33,7 @@ from repro.core.engine import (
     RunPlan,
     RunSpec,
     SweepCell,
+    capture_golden,
     execute_plan,
     execute_run_spec,
     golden_digest,
@@ -39,7 +41,6 @@ from repro.core.engine import (
 from repro.core.outcomes import Outcome, OutcomeTally, RunRecord
 from repro.errors import FFISError
 from repro.fusefs.interposer import PrimitiveCall
-from repro.fusefs.mount import mount
 from repro.fusefs.vfs import FFISFileSystem
 from repro.mhdf5.fieldmap import FieldMap
 from repro.util.bitops import flip_bit
@@ -155,25 +156,23 @@ class MetadataCampaign:
 
     # -- discovery ---------------------------------------------------------------
 
-    def locate_metadata_write(self) -> Tuple[MetadataWriteInfo, GoldenRecord]:
-        """Trace a fault-free run and identify the penultimate write."""
-        fs = self.fs_factory()
-        writes: List[Tuple[int, int, int]] = []   # (seqno, offset, size)
-
-        def tracer(call: PrimitiveCall) -> None:
-            writes.append((call.seqno, call.args["offset"], call.args["size"]))
-            return None
-
-        fs.interposer.add_hook("ffis_write", tracer)
-        with mount(fs) as mp:
-            golden = self.app.capture_golden(mp)
-        if len(writes) < 2:
+    def site_from_golden(self, golden: GoldenRecord) -> MetadataWriteInfo:
+        """The penultimate fault-free write, read off *golden*'s write
+        log: the metadata site costs no run beyond the golden capture."""
+        if len(golden.writes) < 2:
             raise FFISError(
-                f"{self.app.name} performed {len(writes)} writes; the "
-                "penultimate-write heuristic needs at least 2")
-        seqno, offset, size = writes[-2]
-        return MetadataWriteInfo(write_index=seqno, file_offset=offset,
-                                 size=size), golden
+                f"{self.app.name} performed {len(golden.writes)} writes; "
+                "the penultimate-write heuristic needs at least 2")
+        index = len(golden.writes) - 2
+        offset, size = golden.writes[index]
+        return MetadataWriteInfo(write_index=index, file_offset=offset,
+                                 size=size)
+
+    def locate_metadata_write(self) -> Tuple[MetadataWriteInfo, GoldenRecord]:
+        """Capture the golden record and locate the penultimate write in
+        it (see :meth:`site_from_golden`)."""
+        golden = capture_golden(self.app, self.fs_factory)
+        return self.site_from_golden(golden), golden
 
     # -- one case ---------------------------------------------------------------
 
@@ -262,18 +261,26 @@ class MetadataCampaign:
                 f"/golden={golden_digest(golden)}")
 
     def plan_cell(self, key: str, cache: ProfileGoldenCache,
-                  byte_stride: int = 1) -> SweepCell:
-        """This sweep as one cell of a fused multi-campaign sweep.
+                  byte_stride: int = 1, targets=()) -> SweepCell:
+        """This campaign as one cell of a fused multi-campaign sweep.
 
-        The metadata-write trace (which doubles as the golden capture)
-        comes from the sweep's shared cache, so many cells over the
+        The golden record comes from the sweep's shared cache and the
+        metadata-write site is derived from it, so many cells over the
         same application -- different modes or strides, or alongside
-        instance-targeted campaign cells -- trace it exactly once.
+        instance-targeted campaign cells, in either order -- share one
+        fault-free capture.  A ``targeted`` campaign plans ``targets``
+        (see :meth:`plan_targets`); the other modes sweep every
+        ``byte_stride``-th byte (see :meth:`plan`).
         """
-        info, golden = cache.locate(self.app, self.fs_factory,
-                                    self.locate_metadata_write)
-        plan = self.plan(byte_stride, located=(info, golden))
-        return SweepCell(key=key, plan=plan,
+        golden = cache.golden(self.app, self.fs_factory,
+                              lambda: capture_golden(self.app, self.fs_factory))
+        located = (self.site_from_golden(golden), golden)
+        if self.mode == "targeted":
+            return SweepCell(key=key,
+                             plan=self.plan_targets(targets, located=located),
+                             campaign_id=self.targeted_campaign_id(targets,
+                                                                   golden))
+        return SweepCell(key=key, plan=self.plan(byte_stride, located=located),
                          campaign_id=self.campaign_id(byte_stride, golden))
 
     # -- the sweep -----------------------------------------------------------------
@@ -291,7 +298,7 @@ class MetadataCampaign:
         byte, the paper's case count); ``all-bits`` runs all 8 bits.
         Pass ``located`` to reuse an earlier :meth:`locate_metadata_write`
         (e.g. after harvesting the writer's field map from that run)
-        instead of tracing the application again.
+        instead of capturing the golden record again.
         """
         # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
         start = time.perf_counter()

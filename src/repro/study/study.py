@@ -3,7 +3,8 @@
 ``Study.plan()`` turns the declarative grid into the existing fused-sweep
 machinery -- one :class:`~repro.core.engine.SweepPlan` whose cells share
 a :class:`~repro.core.engine.ProfileGoldenCache` (each distinct
-application's fault-free work runs exactly once per study) -- and
+application runs fault-free exactly once per study, whatever kinds of
+cell plan from it) -- and
 ``StudyPlan.execute()`` runs it to a uniform
 :class:`~repro.study.resultset.ResultSet`.  Every driver-level surface
 (the CLI ``study``/``sweep``/``campaign`` subcommands, the registered
@@ -25,6 +26,7 @@ from repro.core.engine import (
     SweepCell,
     SweepPlan,
     SweepResult,
+    capture_golden,
     execute_sweep,
 )
 from repro.core.metadata_campaign import MetadataCampaign, MetadataWriteInfo
@@ -163,8 +165,9 @@ class StudyPlan:
 
     def campaign_results(self, results: ResultSet) -> Dict[str, CampaignResult]:
         """Adapt a result set to per-cell :class:`CampaignResult`\\ s
-        (fault cells only), pulling each cell's profile/golden from the
-        study cache -- hits, since planning already paid for them."""
+        (fault cells only), pulling each cell's golden from the study
+        cache -- a hit, since planning already paid for it -- and
+        deriving its profile from that record."""
         out: Dict[str, CampaignResult] = {}
         for compiled in self.cells:
             campaign = compiled.planner
@@ -172,16 +175,12 @@ class StudyPlan:
                 continue
             golden = self.cache.golden(
                 campaign.app, campaign.fs_factory, campaign.capture_golden)
-            profile = self.cache.derived_profile(
-                campaign.app, campaign.fs_factory,
-                campaign.signature.primitive,
-                lambda: campaign.profile_from_golden(golden))
             out[compiled.key] = CampaignResult(
                 app_name=campaign.app.name,
                 signature=str(campaign.signature),
                 phase=campaign.config.phase,
                 records=results.cell(compiled.key),
-                profile=profile, golden=golden,
+                profile=campaign.profile_from_golden(golden), golden=golden,
                 scenario=None if campaign.scenario.legacy
                 else campaign.scenario.stamp())
         return out
@@ -251,22 +250,18 @@ class Study:
         campaign = MetadataCampaign(app, seed=self.spec.seed,
                                     mode=target.mode,
                                     fs_factory=self.fs_factory)
-        info, golden = self.cache.locate(app, self.fs_factory,
-                                         campaign.locate_metadata_write)
-        # The locate trace doubles as the field-map harvest: writers
+        # The golden capture doubles as the field-map harvest: writers
         # that publish one (mini-HDF5) expose it afterwards, apps
         # without one sweep unannotated.
+        golden = self.cache.golden(
+            app, self.fs_factory, lambda: capture_golden(app, self.fs_factory))
         write_result = getattr(app, "last_write_result", None)
         campaign.fieldmap = getattr(write_result, "fieldmap", None)
-        if target.mode == "targeted":
-            plan = campaign.plan_targets(target.bits, located=(info, golden))
-            campaign_id = campaign.targeted_campaign_id(target.bits, golden)
-        else:
-            plan = campaign.plan(target.stride, located=(info, golden))
-            campaign_id = campaign.campaign_id(target.stride, golden)
         return CompiledCell(
-            spec=cell, planner=campaign, metadata=info,
-            cell=SweepCell(key=cell.key, plan=plan, campaign_id=campaign_id))
+            spec=cell, planner=campaign,
+            metadata=campaign.site_from_golden(golden),
+            cell=campaign.plan_cell(cell.key, self.cache, target.stride,
+                                    target.bits))
 
     def plan(self) -> StudyPlan:
         """Compile the grid: resolve apps, plan every cell against the

@@ -138,8 +138,6 @@ def test_serial_parallel_fused_checkpoints_are_identical(
     parallel = execute_plan(plan, workers=2, results_path=paths["parallel"],
                             campaign_id=campaign_id)
     cache = ProfileGoldenCache()
-    cache.derived_profile(campaign.app, campaign.fs_factory,
-                          campaign.signature.primitive, lambda: profile)
     cache.golden(campaign.app, campaign.fs_factory, lambda: golden)
     other = toy_campaign(scenario, model, seed + 1 or 1)
     sweep = execute_sweep(

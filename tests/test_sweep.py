@@ -90,16 +90,16 @@ class TestSharedFaultFreeWork:
         cells = (fine.plan_cell("stride-256", cache, byte_stride=256),
                  coarse.plan_cell("stride-512", cache, byte_stride=512))
         traced = factory.count
-        assert traced == 1          # one locate run serves both cells
-        assert cache.locate_runs == 1
+        assert traced == 1          # one golden capture serves both cells
+        assert cache.fault_free_runs() == 1
         result = execute_sweep(SweepPlan(cells=cells))
         assert factory.count == traced + result.total
         solo = MetadataCampaign(tiny_nyx, seed=5).run(byte_stride=256)
         assert result.records["stride-256"] == solo.records
 
     def test_mixed_cells_share_the_golden_capture(self, tiny_nyx):
-        """A locate run *is* a golden capture: an instance-targeted cell
-        planned after a metadata cell reuses its golden."""
+        """A metadata cell plans from the golden capture: an
+        instance-targeted cell planned after it reuses that golden."""
         factory = CountingFsFactory()
         cache = ProfileGoldenCache()
         meta = MetadataCampaign(tiny_nyx, fs_factory=factory, seed=5)
@@ -108,8 +108,8 @@ class TestSharedFaultFreeWork:
                             fs_factory=factory)
         cells = (meta.plan_cell("meta", cache, byte_stride=512),
                  campaign.plan_cell("dw", cache))
-        assert factory.count == 1   # locate only: its golden capture is
-        assert cache.golden_runs == 0   # reused and the profile derived
+        assert factory.count == 1   # one golden capture, shared: the
+        assert cache.golden_runs == 1   # site and profile derive from it
         result = execute_sweep(SweepPlan(cells=cells))
         assert len(result.records["dw"]) == 2
 

@@ -10,7 +10,6 @@ from repro.analysis.projection import (
     JEDEC_ENTERPRISE_UBER,
     DeviceModel,
     RunProjection,
-    effective_uber_budget,
     project_run,
     system_sdc_rate,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "FIELD_STUDY_UBER_RANGE",
     "JEDEC_ENTERPRISE_UBER",
     "RunProjection",
-    "effective_uber_budget",
     "project_run",
     "system_sdc_rate",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.core.campaign import CampaignResult
 from repro.core.outcomes import Outcome
@@ -67,10 +67,6 @@ class RunProjection:
     def probability(self, outcome: Outcome) -> float:
         return self.outcome_probabilities[outcome]
 
-    def expected_events(self, runs: float) -> Dict[Outcome, float]:
-        """Expected outcome counts over *runs* application executions."""
-        return {o: p * runs for o, p in self.outcome_probabilities.items()}
-
     def runs_per_sdc(self) -> float:
         """Mean runs between silent corruptions (inf if P(SDC) == 0)."""
         p = self.outcome_probabilities[Outcome.SDC]
@@ -108,25 +104,3 @@ def system_sdc_rate(projection: RunProjection, runs_per_day: float,
     if runs_per_day < 0 or nodes < 1:
         raise ValueError("need runs_per_day >= 0 and nodes >= 1")
     return projection.probability(Outcome.SDC) * runs_per_day * nodes
-
-
-def effective_uber_budget(result: CampaignResult,
-                          target_sdc_per_run: float) -> float:
-    """Largest device UBER keeping P(SDC per run) under the target.
-
-    This is the paper's trade-off space (Sec. I contribution (i)): an
-    application that masks most faults can tolerate a cheaper/faster
-    device for the same end-to-end reliability.  Returns an UBER; compare
-    against :data:`JEDEC_ENTERPRISE_UBER` or the field-study band.
-    """
-    if result.profile is None or result.tally.total == 0:
-        raise ValueError("campaign result lacks a profile or runs")
-    if not 0 < target_sdc_per_run < 1:
-        raise ValueError("target must be a probability in (0, 1)")
-    p_sdc_given_fault = result.tally.rate(Outcome.SDC)
-    bits = 8 * result.profile.bytes_written
-    if p_sdc_given_fault == 0:
-        return 1.0   # never silently corrupts: any device will do
-    # Need 1-(1-u)^bits <= target/p  =>  u <= 1-(1-target/p)^(1/bits).
-    ceiling = min(target_sdc_per_run / p_sdc_given_fault, 1.0 - 1e-15)
-    return -math.expm1(math.log1p(-ceiling) / bits)

@@ -114,12 +114,6 @@ def campaign_error_bars(tally: TallySource,
     return {o: rate_estimate(tally.counts[o], n, method) for o in Outcome}
 
 
-def mean_half_width(estimates: Mapping[Outcome, RateEstimate]) -> float:
-    """Average CI half-width across outcomes (the paper's "error bar")."""
-    values = list(estimates.values())
-    return sum(e.half_width for e in values) / len(values)
-
-
 def record_fault_count(record: RunRecord) -> int:
     """The nominal fault count *k* a record was produced under.
 

@@ -51,12 +51,3 @@ def render_outcome_grid(results: Mapping[str, TallySource],
         rows.append([label, str(tally.total)]
                     + [format_percent(tally.rate(o)) for o in Outcome])
     return render_table(headers, rows, title=title)
-
-
-def render_comparison(headers: Sequence[str],
-                      paper_row: Sequence[str],
-                      measured_row: Sequence[str],
-                      title: Optional[str] = None) -> str:
-    """Two-row paper-vs-measured table used throughout EXPERIMENTS.md."""
-    rows = [["paper"] + list(paper_row), ["measured"] + list(measured_row)]
-    return render_table(["source"] + list(headers), rows, title=title)

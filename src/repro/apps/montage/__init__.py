@@ -12,7 +12,6 @@ from repro.apps.montage.background import (
     fit_plane,
     parse_fits_table,
     render_fits_table,
-    run_mbg,
     solve_corrections,
 )
 from repro.apps.montage.diff import (
@@ -20,10 +19,9 @@ from repro.apps.montage.diff import (
     Placement,
     overlap_box,
     placement_of,
-    run_mdiff,
 )
 from repro.apps.montage.image import RawTile, SkyConfig, generate_sky, make_raw_tiles
-from repro.apps.montage.project import ProjectedPaths, project_tile, run_mproj, shift_bilinear
+from repro.apps.montage.project import ProjectedPaths, project_tile, shift_bilinear
 
 __all__ = [
     "RawTile",
@@ -32,18 +30,15 @@ __all__ = [
     "make_raw_tiles",
     "ProjectedPaths",
     "project_tile",
-    "run_mproj",
     "shift_bilinear",
     "DiffRecord",
     "Placement",
     "overlap_box",
     "placement_of",
-    "run_mdiff",
     "PlaneFit",
     "fit_plane",
     "parse_fits_table",
     "render_fits_table",
-    "run_mbg",
     "solve_corrections",
     "MosaicStats",
     "mosaic_stats",

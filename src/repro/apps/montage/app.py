@@ -137,7 +137,7 @@ class MontageApplication(HpcApplication):
         carry["raw_paths"] = tuple(raw_paths)
 
     def _step_mproj_tile(self, mp: MountPoint, carry, index: int) -> None:
-        """Reproject one raw tile (``run_mproj`` semantics, per input).
+        """Reproject one raw tile (``mProjExec`` executor semantics).
 
         A tile whose header or pixels are unusable is counted and
         skipped -- the real ``mProjExec`` executor keeps going -- and
@@ -168,7 +168,7 @@ class MontageApplication(HpcApplication):
 
     def _step_mdiff_scan(self, mp: MountPoint, carry) -> None:
         """Read every projected image and build the pair worklist
-        (``run_mdiff`` semantics: skip unreadable inputs, keep pairs
+        (``mDiffExec`` executor semantics: skip unreadable inputs, keep pairs
         whose overlap clears ``MIN_OVERLAP_PIXELS``)."""
         mp.makedirs(DIFF_DIR)
         hdus = {}

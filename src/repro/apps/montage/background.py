@@ -232,17 +232,3 @@ def mbg_apply(mp: MountPoint, model: BackgroundModel,
         write_fits(mp, out_path, ImageHDU(corrected, header=dict(hdu.header)))
         out_paths.append(out_path)
     return out_paths
-
-
-def run_mbg(mp: MountPoint, image_paths: List[str], diffs: List[DiffRecord],
-            out_dir: str) -> List[str]:
-    """Fit diff planes, solve corrections, write background-matched images.
-
-    Mirrors the real pipeline's process structure: ``mFitExec`` writes
-    the plane fits to ``fits.tbl`` and the background solver reads that
-    table back from disk, so coefficients are exchanged at the table's
-    finite text precision (and the table itself is injectable I/O).
-    Composition of :func:`mbg_fit` and :func:`mbg_apply` -- the stage's
-    I/O sequence is identical to the historical monolithic version.
-    """
-    return mbg_apply(mp, mbg_fit(mp, image_paths, diffs, out_dir), out_dir)

@@ -10,14 +10,9 @@ the lowest SDC rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
-import numpy as np
-
-from repro.errors import FormatError
-from repro.fusefs.mount import MountPoint
 from repro.mfits.hdu import ImageHDU
-from repro.mfits.io import read_fits, write_fits
 
 MIN_OVERLAP_PIXELS = 64
 
@@ -56,41 +51,3 @@ class DiffRecord:
     tile_a: int
     tile_b: int
     path: str
-
-
-def run_mdiff(mp: MountPoint, image_paths: List[str], out_dir: str) -> List[DiffRecord]:
-    """Difference every overlapping pair of projected images."""
-    mp.makedirs(out_dir)
-    hdus: Dict[int, ImageHDU] = {}
-    placements: Dict[int, Placement] = {}
-    for path in image_paths:
-        # Executor semantics: skip unreadable projected images.
-        try:
-            hdu = read_fits(mp, path)
-            tile = int(hdu.header["TILE"])
-            placement = placement_of(hdu)
-        except (FormatError, KeyError, TypeError, ValueError):
-            continue
-        hdus[tile] = hdu
-        placements[tile] = placement
-
-    records: List[DiffRecord] = []
-    tiles = sorted(hdus)
-    for i, ta in enumerate(tiles):
-        for tb in tiles[i + 1:]:
-            pa, pb = placements[ta], placements[tb]
-            y0, y1, x0, x1 = overlap_box(pa, pb)
-            if y1 - y0 <= 0 or x1 - x0 <= 0:
-                continue
-            if (y1 - y0) * (x1 - x0) < MIN_OVERLAP_PIXELS:
-                continue
-            da = hdus[ta].data[y0 - pa.y0 : y1 - pa.y0, x0 - pa.x0 : x1 - pa.x0]
-            db = hdus[tb].data[y0 - pb.y0 : y1 - pb.y0, x0 - pb.x0 : x1 - pb.x0]
-            diff = (da.astype(np.float64) - db.astype(np.float64)).astype(np.float32)
-            path = f"{out_dir}/diff_{ta}_{tb}.fits"
-            write_fits(mp, path, ImageHDU(diff, header={
-                "TILEA": ta, "TILEB": tb,
-                "CRPIX1": float(x0), "CRPIX2": float(y0),
-            }))
-            records.append(DiffRecord(tile_a=ta, tile_b=tb, path=path))
-    return records

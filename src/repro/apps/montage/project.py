@@ -9,14 +9,12 @@ and emits, per input image, a projected image and the corresponding
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import FormatError
-from repro.fusefs.mount import MountPoint
 from repro.mfits.hdu import ImageHDU
-from repro.mfits.io import read_fits, write_fits
 
 
 @dataclass(frozen=True)
@@ -79,31 +77,3 @@ def project_tile(hdu: ImageHDU) -> Tuple[ImageHDU, ImageHDU, int, int]:
     proj = ImageHDU(res.astype(np.float32), header=dict(meta))
     area = ImageHDU(weights.astype(np.float32), header=dict(meta))
     return proj, area, oy, ox
-
-
-def run_mproj(mp: MountPoint, raw_paths: List[str], out_dir: str) -> List[ProjectedPaths]:
-    """Run the projection stage over every raw image.
-
-    Like the real ``mProjExec`` executor, a failure on one input image is
-    recorded and the run continues with the remaining images; only a run
-    with *no* usable input aborts.
-    """
-    mp.makedirs(out_dir)
-    outputs: List[ProjectedPaths] = []
-    failures = 0
-    for raw_path in raw_paths:
-        try:
-            hdu = read_fits(mp, raw_path)
-            proj, area, _, _ = project_tile(hdu)
-        except FormatError:
-            failures += 1
-            continue
-        tile = proj.header["TILE"]
-        image_path = f"{out_dir}/p_{tile}.fits"
-        area_path = f"{out_dir}/p_{tile}_area.fits"
-        write_fits(mp, image_path, proj)
-        write_fits(mp, area_path, area)
-        outputs.append(ProjectedPaths(image=image_path, area=area_path))
-    if not outputs:
-        raise FormatError(f"mProjExec: all {failures} input images unusable")
-    return outputs

@@ -9,13 +9,12 @@ from repro.apps.nyx.halo_finder import (
     candidate_count,
     find_halos,
 )
-from repro.apps.nyx.labeling import DisjointSet, label_components
+from repro.apps.nyx.labeling import DisjointSet
 
 __all__ = [
     "FieldConfig",
     "generate_baryon_density",
     "DisjointSet",
-    "label_components",
     "Halo",
     "HaloCatalog",
     "average_value_check",

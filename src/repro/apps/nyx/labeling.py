@@ -92,23 +92,3 @@ def label_flat(flat: np.ndarray, coords: Sequence[np.ndarray],
                               (size - 1) * stride)
     roots, component = np.unique(dsu.roots(), return_inverse=True)
     return component, len(roots)
-
-
-def label_components(mask: np.ndarray, periodic: bool = False) -> Tuple[np.ndarray, int]:
-    """Label 6-connected components of a 3-D boolean *mask*.
-
-    Returns ``(labels, n_components)`` where ``labels`` is int64 with 0
-    for background and components numbered from 1 in first-voxel order
-    (deterministic).  With ``periodic=True`` opposite faces are adjacent,
-    matching a cosmological box.
-    """
-    if mask.ndim != 3:
-        raise ValueError(f"expected a 3-D mask, got {mask.ndim}-D")
-    labels = np.zeros(mask.shape, dtype=np.int64)
-    flat = np.flatnonzero(mask)
-    if not len(flat):
-        return labels, 0
-    component, n_components = label_flat(
-        flat, np.unravel_index(flat, mask.shape), mask.shape, periodic)
-    labels.reshape(-1)[flat] = component + 1
-    return labels, n_components

@@ -136,27 +136,3 @@ class HeliumWavefunction:
         terms = _CHARGES / r
         potential = terms[0] - terms[1] + terms[2]
         return log_psi, grad, kinetic + potential
-
-    # -- (N, 2, 3) adapters ----------------------------------------------------
-
-    def evaluate(self, walkers: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(ln psi, grad ln psi, E_L)`` of a ``(N, 2, 3)`` walker set;
-        the gradient has the walkers' shape."""
-        log_psi, grad, e_local = self.evaluate_components(to_components(walkers))
-        return log_psi, to_walkers(grad), e_local
-
-    def log_psi(self, walkers: np.ndarray) -> np.ndarray:
-        return self.evaluate(walkers)[0]
-
-    def grad_log_psi(self, walkers: np.ndarray) -> np.ndarray:
-        """Gradient of ln psi wrt both electrons: shape (N, 2, 3)."""
-        return self.evaluate(walkers)[1]
-
-    def local_energy(self, walkers: np.ndarray) -> np.ndarray:
-        """E_L = (H psi)/psi, vectorized over walkers."""
-        return self.evaluate(walkers)[2]
-
-    def quantum_force(self, walkers: np.ndarray) -> np.ndarray:
-        """Drift velocity F = 2 grad ln psi used by DMC."""
-        return 2.0 * self.grad_log_psi(walkers)

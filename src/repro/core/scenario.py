@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.core.injector import FaultInjector
 from repro.core.signature import FaultSignature
-from repro.errors import ConfigError, FFISError
+from repro.errors import ConfigError
 from repro.fusefs.inode import ROOT_INO, Inode, InodeKind
 from repro.fusefs.vfs import FFISFileSystem
 from repro.util.rngstream import RngStream
@@ -450,20 +450,3 @@ def as_scenario(value) -> FaultScenario:
     if isinstance(value, str):
         return parse_scenario(value)
     raise ConfigError(f"cannot interpret {value!r} as a fault scenario")
-
-
-def scenario_from_record(record) -> FaultScenario:
-    """The scenario a run record was produced under (legacy -> single).
-
-    Raises :class:`FFISError` for a stamp this build cannot parse --
-    a record from a newer scenario vocabulary must not be silently
-    rebucketed as single-fault.
-    """
-    stamp = getattr(record, "scenario", None)
-    if stamp is None:
-        return SingleFault()
-    try:
-        return parse_scenario(stamp)
-    except ConfigError as exc:
-        raise FFISError(
-            f"record stamped with unknown scenario {stamp!r}: {exc}") from exc

@@ -21,8 +21,6 @@ from repro.analysis.tables import render_table
 from repro.apps.nyx import NyxApplication
 from repro.core.metadata_campaign import MetadataCampaignResult
 from repro.core.outcomes import Outcome, OutcomeTally, RunRecord
-from repro.fusefs.mount import mount
-from repro.fusefs.vfs import FFISFileSystem
 
 PAPER_RATES = {Outcome.SDC: 0.002, Outcome.BENIGN: 0.857, Outcome.CRASH: 0.141}
 
@@ -75,14 +73,6 @@ class Table3Result:
 
     def render(self) -> str:
         return render_table3_records(self.campaign.records)
-
-
-def fieldmap_for(app: NyxApplication):
-    """Golden-run field map of the app's metadata write."""
-    fs = FFISFileSystem()
-    with mount(fs) as mp:
-        app.execute(mp)
-    return app.last_write_result.fieldmap
 
 
 def run_table3(app: Optional[NyxApplication] = None, byte_stride: int = 1,

@@ -34,7 +34,7 @@ from repro.mhdf5.chunks import (
 from repro.mhdf5.dataspace import DataspaceMessage
 from repro.mhdf5.datatype import ByteOrder, DatatypeMessage, MantissaNorm, ieee_f32le, ieee_f64le
 from repro.mhdf5.fieldmap import FieldClass, FieldMap, FieldSpan
-from repro.mhdf5.floatcodec import decode_floats, encode_floats
+from repro.mhdf5.floatcodec import decode_floats
 from repro.mhdf5.layout import (
     ChunkedLayoutMessage,
     ContiguousLayoutMessage,
@@ -70,7 +70,6 @@ __all__ = [
     "FieldSpan",
     "FieldClass",
     "decode_floats",
-    "encode_floats",
     "Hdf5Writer",
     "write_file",
     "LayoutPlan",

@@ -1,4 +1,4 @@
-"""Generic floating-point decode/encode driven by the datatype message.
+"""Generic floating-point decoding driven by the datatype message.
 
 The real HDF5 library does not hard-code IEEE 754: its datatype-conversion
 path assembles each value from the exponent/mantissa geometry recorded in
@@ -172,62 +172,3 @@ def _decode_generic(raw: bytes, dt: DatatypeMessage, count: int) -> np.ndarray:
             values = significand * np.exp2(exp_f)
 
     return np.where(sign > 0, -values, values)
-
-
-def encode_floats(values: np.ndarray, dt: DatatypeMessage) -> bytes:
-    """Encode float64 *values* into raw bytes according to *dt*.
-
-    Supports ``IMPLIED`` normalization with a non-empty exponent field
-    (the IEEE-style geometries the writer emits); used by the writer's
-    generic path and by round-trip property tests.  Values that need a
-    larger exponent than the geometry can hold raise ``ValueError`` --
-    the writer never silently saturates.
-    """
-    _validate_geometry(dt)
-    if dt.mantissa_norm is not MantissaNorm.IMPLIED or dt.exponent_size == 0:
-        raise ValueError("encode_floats supports IMPLIED-normalization geometries only")
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(values)):
-        raise ValueError("cannot encode non-finite values")
-
-    mant, exp = np.frexp(values)           # values = mant * 2**exp, mant in [0.5, 1)
-    nonzero = values != 0
-    # Convert to IEEE form: 1.f * 2**(exp-1).
-    biased = np.where(nonzero, exp - 1 + dt.exponent_bias, 0).astype(np.int64)
-    exp_max = (1 << dt.exponent_size) - 1
-    if np.any((biased >= exp_max) & nonzero):
-        raise ValueError("value exponent exceeds datatype exponent range")
-    subnormal = (biased <= 0) & nonzero
-    if np.any(subnormal):
-        # Shift the significand right until the exponent reaches 1 - bias.
-        shift = (1 - biased[subnormal]).astype(np.float64)
-        sig_sub = np.abs(mant[subnormal]) * 2.0 * np.exp2(-shift)
-        mantissa_sub = np.rint(sig_sub * (1 << dt.mantissa_size)).astype(np.uint64)
-    sig = np.abs(mant) * 2.0                # in [1, 2)
-    frac = sig - 1.0
-    mantissa = np.rint(frac * (1 << dt.mantissa_size)).astype(np.uint64)
-    # Rounding can carry the fraction to 1.0: bump the exponent.
-    carry = mantissa >= (1 << dt.mantissa_size)
-    mantissa = np.where(carry, 0, mantissa)
-    biased = biased + carry.astype(np.int64)
-    if np.any((biased >= exp_max) & nonzero):
-        raise ValueError("value exponent exceeds datatype exponent range after rounding")
-
-    biased_u = np.where(nonzero, np.maximum(biased, 0), 0).astype(np.uint64)
-    if np.any(subnormal):
-        mantissa = mantissa.copy()
-        mantissa[subnormal] = mantissa_sub
-        biased_u = biased_u.copy()
-        biased_u[subnormal] = 0
-
-    word = np.zeros(values.shape, dtype=np.uint64)
-    word |= mantissa << np.uint64(dt.mantissa_location)
-    word |= biased_u << np.uint64(dt.exponent_location)
-    word |= (np.signbit(values)).astype(np.uint64) << np.uint64(dt.sign_location)
-
-    out = np.zeros((values.size, dt.size), dtype=np.uint8)
-    for i in range(dt.size):
-        out[:, i] = (word >> np.uint64(8 * i)).astype(np.uint8)
-    if dt.byte_order is ByteOrder.BIG:
-        out = out[:, ::-1]
-    return out.tobytes()

@@ -8,7 +8,6 @@ from repro.analysis.projection import (
     FIELD_STUDY_UBER_RANGE,
     JEDEC_ENTERPRISE_UBER,
     DeviceModel,
-    effective_uber_budget,
     project_run,
     system_sdc_rate,
 )
@@ -69,12 +68,6 @@ class TestProjection:
             projection.fault_probability * dw_result.rate(Outcome.SDC))
         assert 0 < p_sdc < projection.fault_probability + 1e-12
 
-    def test_expected_events(self, dw_result):
-        projection = project_run(dw_result, DeviceModel(uber=1e-9))
-        events = projection.expected_events(1e6)
-        assert events[Outcome.SDC] == pytest.approx(
-            projection.probability(Outcome.SDC) * 1e6)
-
     def test_runs_per_sdc(self, dw_result):
         projection = project_run(dw_result, DeviceModel(uber=1e-9))
         assert projection.runs_per_sdc() == pytest.approx(
@@ -86,29 +79,7 @@ class TestProjection:
         many = system_sdc_rate(projection, runs_per_day=24, nodes=1000)
         assert many == pytest.approx(1000 * one)
 
-    def test_uber_budget_inverts_projection(self, dw_result):
-        """The budget UBER reproduces the target P(SDC) when fed back."""
-        target = 1e-8
-        budget = effective_uber_budget(dw_result, target)
-        projection = project_run(dw_result, DeviceModel(uber=budget))
-        assert projection.probability(Outcome.SDC) == pytest.approx(
-            target, rel=1e-6)
-
-    def test_resilient_app_gets_bigger_budget(self, dw_result, tiny_nyx_module):
-        """Contribution (i): masking capability buys device headroom.
-        BF (mostly benign) tolerates a worse device than DW (all SDC)."""
-        bf_result = Campaign(tiny_nyx_module,
-                             CampaignConfig(fault_model="BF", n_runs=12,
-                                            seed=2)).run()
-        if bf_result.rate(Outcome.SDC) == 0:
-            assert effective_uber_budget(bf_result, 1e-8) == 1.0
-        else:
-            assert effective_uber_budget(bf_result, 1e-8) > \
-                effective_uber_budget(dw_result, 1e-8)
-
     def test_validation(self, dw_result):
-        with pytest.raises(ValueError):
-            effective_uber_budget(dw_result, 0.0)
         projection = project_run(dw_result, DeviceModel(uber=1e-9))
         with pytest.raises(ValueError):
             system_sdc_rate(projection, runs_per_day=-1)

@@ -5,7 +5,15 @@ import pytest
 from repro.core.metadata_campaign import MetadataCampaign
 from repro.core.outcomes import Outcome
 from repro.errors import FFISError
-from repro.experiments.table3 import fieldmap_for
+
+
+def annotated(app, seed):
+    """A campaign annotated with the golden run's field map, and the
+    located write it was harvested from."""
+    campaign = MetadataCampaign(app, seed=seed)
+    located = campaign.locate_metadata_write()
+    campaign.fieldmap = app.last_write_result.fieldmap
+    return campaign, located
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +96,8 @@ class TestRunCase:
 
 class TestSweep:
     def test_strided_sweep_shape(self, tiny_nyx_module):
-        fieldmap = fieldmap_for(tiny_nyx_module)
-        campaign = MetadataCampaign(tiny_nyx_module, fieldmap=fieldmap, seed=3)
-        result = campaign.run(byte_stride=64)
+        campaign, located = annotated(tiny_nyx_module, seed=3)
+        result = campaign.run(byte_stride=64, located=located)
         expected_cases = (result.metadata.size + 63) // 64
         assert result.tally.total == expected_cases
         # Benign dominates (the paper's headline proportion).
@@ -114,9 +121,8 @@ class TestSweep:
         assert [r.bit_index for r in a.records] == [r.bit_index for r in b.records]
 
     def test_fields_by_outcome(self, tiny_nyx_module):
-        fieldmap = fieldmap_for(tiny_nyx_module)
-        campaign = MetadataCampaign(tiny_nyx_module, fieldmap=fieldmap, seed=3)
-        result = campaign.run(byte_stride=32)
+        campaign, located = annotated(tiny_nyx_module, seed=3)
+        result = campaign.run(byte_stride=32, located=located)
         buckets = result.fields_by_outcome()
         assert any("unused" in name or "reserved" in name.lower()
                    for name in buckets[Outcome.BENIGN])

@@ -11,8 +11,74 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import FormatError
 from repro.mhdf5 import floatcodec
-from repro.mhdf5.datatype import ByteOrder, MantissaNorm, ieee_f32le, ieee_f64le
-from repro.mhdf5.floatcodec import decode_floats, encode_floats
+from repro.mhdf5.datatype import (
+    ByteOrder,
+    DatatypeMessage,
+    MantissaNorm,
+    ieee_f32le,
+    ieee_f64le,
+)
+from repro.mhdf5.floatcodec import decode_floats
+
+
+def encode_floats(values: np.ndarray, dt: DatatypeMessage) -> bytes:
+    """Encode float64 *values* into raw bytes according to *dt*.
+
+    The inverse of :func:`decode_floats` the round-trip properties
+    below need.  Supports ``IMPLIED`` normalization with a non-empty
+    exponent field (the IEEE-style geometries the writer emits).
+    Values that need a larger exponent than the geometry can hold
+    raise ``ValueError`` rather than saturate.
+    """
+    floatcodec._validate_geometry(dt)
+    if dt.mantissa_norm is not MantissaNorm.IMPLIED or dt.exponent_size == 0:
+        raise ValueError("encode_floats supports IMPLIED-normalization geometries only")
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(values)):
+        raise ValueError("cannot encode non-finite values")
+
+    mant, exp = np.frexp(values)           # values = mant * 2**exp, mant in [0.5, 1)
+    nonzero = values != 0
+    # Convert to IEEE form: 1.f * 2**(exp-1).
+    biased = np.where(nonzero, exp - 1 + dt.exponent_bias, 0).astype(np.int64)
+    exp_max = (1 << dt.exponent_size) - 1
+    if np.any((biased >= exp_max) & nonzero):
+        raise ValueError("value exponent exceeds datatype exponent range")
+    subnormal = (biased <= 0) & nonzero
+    if np.any(subnormal):
+        # Shift the significand right until the exponent reaches 1 - bias.
+        shift = (1 - biased[subnormal]).astype(np.float64)
+        sig_sub = np.abs(mant[subnormal]) * 2.0 * np.exp2(-shift)
+        mantissa_sub = np.rint(sig_sub * (1 << dt.mantissa_size)).astype(np.uint64)
+    sig = np.abs(mant) * 2.0                # in [1, 2)
+    frac = sig - 1.0
+    mantissa = np.rint(frac * (1 << dt.mantissa_size)).astype(np.uint64)
+    # Rounding can carry the fraction to 1.0: bump the exponent.
+    carry = mantissa >= (1 << dt.mantissa_size)
+    mantissa = np.where(carry, 0, mantissa)
+    biased = biased + carry.astype(np.int64)
+    if np.any((biased >= exp_max) & nonzero):
+        raise ValueError("value exponent exceeds datatype exponent range after rounding")
+
+    biased_u = np.where(nonzero, np.maximum(biased, 0), 0).astype(np.uint64)
+    if np.any(subnormal):
+        mantissa = mantissa.copy()
+        mantissa[subnormal] = mantissa_sub
+        biased_u = biased_u.copy()
+        biased_u[subnormal] = 0
+
+    word = np.zeros(values.shape, dtype=np.uint64)
+    word |= mantissa << np.uint64(dt.mantissa_location)
+    word |= biased_u << np.uint64(dt.exponent_location)
+    word |= (np.signbit(values)).astype(np.uint64) << np.uint64(dt.sign_location)
+
+    out = np.zeros((values.size, dt.size), dtype=np.uint8)
+    for i in range(dt.size):
+        out[:, i] = (word >> np.uint64(8 * i)).astype(np.uint8)
+    if dt.byte_order is ByteOrder.BIG:
+        out = out[:, ::-1]
+    return out.tobytes()
+
 
 finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False,
                        allow_subnormal=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.apps.montage import MontageApplication
 from repro.apps.montage.add import (
     COVERAGE_MARGIN,
     mosaic_stats,
@@ -19,7 +20,7 @@ from repro.apps.montage.background import (
 )
 from repro.apps.montage.diff import Placement, overlap_box
 from repro.apps.montage.image import SkyConfig, generate_sky, make_raw_tiles
-from repro.apps.montage.project import project_tile, run_mproj, shift_bilinear
+from repro.apps.montage.project import project_tile, shift_bilinear
 from repro.errors import FormatError
 from repro.mfits.hdu import ImageHDU
 from repro.mfits.io import read_fits, write_fits
@@ -95,19 +96,32 @@ class TestProjection:
         with pytest.raises(FormatError):
             project_tile(hdu)
 
-    def test_run_mproj_skips_unreadable(self, mp, rng):
+    @staticmethod
+    def run_mproj_steps(mp, raw_paths):
+        """Drive the app's per-tile ``mProjExec`` steps over *raw_paths*
+        (one tile per path); returns the carry they leave behind."""
+        app = MontageApplication(seed=11, sky_config=SkyConfig(
+            canvas_shape=(64, 64), tile_shape=(32, 32),
+            n_tiles=len(raw_paths), n_stars=4))
+        carry = {"raw_paths": tuple(raw_paths)}
+        for step in app.steps():
+            if step.phase == "mProjExec":
+                step.fn(mp, carry)
+        return carry
+
+    def test_mproj_skips_unreadable(self, mp, rng):
         good = ImageHDU(rng.random((8, 8)).astype(np.float32), header={
             "TILE": 0, "CRPIX1": 0.0, "CRPIX2": 0.0,
             "CDELT1": 0.0, "CDELT2": 0.0})
         write_fits(mp, "/raw0.fits", good)
         mp.write_file("/raw1.fits", b"\x00" * 2880)
-        out = run_mproj(mp, ["/raw0.fits", "/raw1.fits"], "/proj")
-        assert len(out) == 1
+        carry = self.run_mproj_steps(mp, ["/raw0.fits", "/raw1.fits"])
+        assert len(carry["projected"]) == 1
 
-    def test_run_mproj_all_bad_crashes(self, mp):
+    def test_mproj_all_bad_crashes(self, mp):
         mp.write_file("/raw.fits", b"\x00" * 2880)
         with pytest.raises(FormatError):
-            run_mproj(mp, ["/raw.fits"], "/proj")
+            self.run_mproj_steps(mp, ["/raw.fits"])
 
 
 class TestDiffAndBackground:

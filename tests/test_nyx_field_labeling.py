@@ -6,7 +6,26 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from repro.apps.nyx.field import FieldConfig, generate_baryon_density
-from repro.apps.nyx.labeling import DisjointSet, label_components
+from repro.apps.nyx.labeling import DisjointSet, label_flat
+
+
+def label_components(mask: np.ndarray, periodic: bool = False):
+    """Dense labels of a 3-D boolean *mask* through :func:`label_flat`.
+
+    Returns ``(labels, n_components)``: ``labels`` is int64 with 0 for
+    background and components numbered from 1 in first-voxel order.
+    With ``periodic=True`` opposite faces are adjacent.
+    """
+    if mask.ndim != 3:
+        raise ValueError(f"expected a 3-D mask, got {mask.ndim}-D")
+    labels = np.zeros(mask.shape, dtype=np.int64)
+    flat = np.flatnonzero(mask)
+    if not len(flat):
+        return labels, 0
+    component, n_components = label_flat(
+        flat, np.unravel_index(flat, mask.shape), mask.shape, periodic)
+    labels.reshape(-1)[flat] = component + 1
+    return labels, n_components
 
 
 class TestField:

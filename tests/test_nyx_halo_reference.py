@@ -28,8 +28,9 @@ from repro.apps.nyx.halo_finder import (
     candidate_count,
     find_halos,
 )
-from repro.apps.nyx.labeling import label_components
 from repro.experiments.params import nyx_default, nyx_small
+
+from tests.test_nyx_field_labeling import label_components
 
 # -- the dense reference -------------------------------------------------------
 

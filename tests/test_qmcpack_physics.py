@@ -10,7 +10,29 @@ from repro.apps.qmcpack import (
     run_dmc,
     run_vmc,
 )
+from repro.apps.qmcpack.dmc import _limited_force
+from repro.apps.qmcpack.wavefunction import to_components, to_walkers
 from repro.util.rngstream import RngStream
+
+
+def evaluate(wf, walkers):
+    """``(ln psi, grad ln psi, E_L)`` of a ``(N, 2, 3)`` walker set
+    through the component-major kernel; the gradient keeps the walkers'
+    shape."""
+    log_psi, grad, e_local = wf.evaluate_components(to_components(walkers))
+    return log_psi, to_walkers(grad), e_local
+
+
+def log_psi(wf, walkers):
+    return evaluate(wf, walkers)[0]
+
+
+def grad_log_psi(wf, walkers):
+    return evaluate(wf, walkers)[1]
+
+
+def local_energy(wf, walkers):
+    return evaluate(wf, walkers)[2]
 
 
 @pytest.fixture(scope="module")
@@ -37,42 +59,44 @@ class TestWavefunction:
                 plus[:, e, d] += h
                 minus = walkers.copy()
                 minus[:, e, d] -= h
-                lap += (np.exp(wf.log_psi(plus) - wf.log_psi(walkers))
-                        + np.exp(wf.log_psi(minus) - wf.log_psi(walkers))
+                lap += (np.exp(log_psi(wf, plus) - log_psi(wf, walkers))
+                        + np.exp(log_psi(wf, minus) - log_psi(wf, walkers))
                         - 2.0) / h**2
         r1 = np.linalg.norm(walkers[:, 0], axis=1)
         r2 = np.linalg.norm(walkers[:, 1], axis=1)
         r12 = np.linalg.norm(walkers[:, 0] - walkers[:, 1], axis=1)
         numeric = -0.5 * lap + (-2 / r1 - 2 / r2 + 1 / r12)
-        assert np.allclose(wf.local_energy(walkers), numeric, atol=1e-4)
+        assert np.allclose(local_energy(wf, walkers), numeric, atol=1e-4)
 
     def test_gradient_matches_finite_differences(self, wf, rng):
         walkers = rng.normal(0, 0.8, (10, 2, 3))
         h = 1e-6
-        grad = wf.grad_log_psi(walkers)
+        grad = grad_log_psi(wf, walkers)
         for e in range(2):
             for d in range(3):
                 plus = walkers.copy()
                 plus[:, e, d] += h
-                numeric = (wf.log_psi(plus) - wf.log_psi(walkers)) / h
+                numeric = (log_psi(wf, plus) - log_psi(wf, walkers)) / h
                 assert np.allclose(grad[:, e, d], numeric, atol=1e-4)
 
     def test_nuclear_cusp_bounded_energy(self, wf):
         """With zeta = Z the 1/r divergence cancels at the nucleus."""
         near = np.array([[[1e-7, 0, 0], [0.5, 0.5, 0.5]]])
         far = np.array([[[0.5, 0, 0], [0.5, 0.5, 0.5]]])
-        assert abs(wf.local_energy(near)[0]) < 50 * abs(wf.local_energy(far)[0])
+        assert abs(local_energy(wf, near)[0]) < 50 * abs(local_energy(wf, far)[0])
 
     def test_origin_walkers_are_finite(self, wf):
         """Corrupted restarts can put both electrons at the origin."""
         walkers = np.zeros((4, 2, 3))
-        assert np.all(np.isfinite(wf.local_energy(walkers)))
-        assert np.all(np.isfinite(wf.log_psi(walkers)))
+        assert np.all(np.isfinite(local_energy(wf, walkers)))
+        assert np.all(np.isfinite(log_psi(wf, walkers)))
 
     def test_quantum_force_is_twice_gradient(self, wf, rng):
-        walkers = rng.normal(0, 1, (5, 2, 3))
-        assert np.allclose(wf.quantum_force(walkers),
-                           2 * wf.grad_log_psi(walkers))
+        """DMC's drift: with the norm limiter off (tau = 0), the force
+        is F = 2 grad ln psi."""
+        x = to_components(rng.normal(0, 1, (5, 2, 3)))
+        grad = wf.evaluate_components(x)[1]
+        assert np.allclose(_limited_force(grad, 0.0), 2 * grad)
 
 
 class TestVmc:

@@ -18,7 +18,6 @@ from repro.core.config import CampaignConfig
 from repro.core.engine import RunSpec
 from repro.core.fault_models import BitFlipFault
 from repro.core.injector import MultiShotHook
-from repro.core.outcomes import Outcome, RunRecord
 from repro.core.scenario import (
     AtRestDecay,
     AtRestDecayHook,
@@ -27,7 +26,6 @@ from repro.core.scenario import (
     SingleFault,
     as_scenario,
     parse_scenario,
-    scenario_from_record,
 )
 from repro.core.signature import FaultSignature
 from repro.errors import ConfigError, FFISError
@@ -81,14 +79,6 @@ class TestParseAndStamp:
         assert as_scenario(scenario) is scenario
         with pytest.raises(ConfigError):
             as_scenario(42)
-
-    def test_scenario_from_record(self):
-        legacy = RunRecord(0, Outcome.BENIGN)
-        assert scenario_from_record(legacy) == SingleFault()
-        stamped = RunRecord(0, Outcome.SDC, scenario="k=4,window=8")
-        assert scenario_from_record(stamped) == KFaults(4, 8)
-        with pytest.raises(FFISError, match="unknown scenario"):
-            scenario_from_record(RunRecord(0, Outcome.SDC, scenario="warp=9"))
 
 
 class TestPointPlanning:

@@ -16,7 +16,7 @@ and chunked+deflate, then shows the two consequences:
 from repro import Campaign, CampaignConfig, FFISFileSystem, mount
 from repro.apps.nyx import FieldConfig, NyxApplication
 
-FIELD = FieldConfig(shape=(64, 64, 64))
+SHAPE = (64, 64, 64)
 N_RUNS = 80
 
 
@@ -31,22 +31,29 @@ def file_layout(app: NyxApplication, label: str) -> None:
           f"({100 * fraction:.2f}% of the file)")
 
 
-def campaign(app: NyxApplication, label: str) -> None:
-    result = Campaign(app, CampaignConfig(fault_model="BF", n_runs=N_RUNS,
+def campaign(app: NyxApplication, label: str, n_runs: int) -> None:
+    result = Campaign(app, CampaignConfig(fault_model="BF", n_runs=n_runs,
                                           seed=31)).run()
     print(f"{label:<12} BF outcomes: {result.tally}")
 
 
-if __name__ == "__main__":
-    plain = NyxApplication(seed=2021, field_config=FIELD)
-    packed = NyxApplication(seed=2021, field_config=FIELD,
-                            chunks=(16, 64, 64), compression="deflate")
+def main(n_runs: int = N_RUNS, shape=SHAPE) -> None:
+    field = FieldConfig(shape=tuple(shape))
+    plain = NyxApplication(seed=2021, field_config=field)
+    # Four chunks along the slowest axis, each compressed on its own.
+    packed = NyxApplication(seed=2021, field_config=field,
+                            chunks=(shape[0] // 4,) + tuple(shape[1:]),
+                            compression="deflate")
 
     print("== layout ==")
     file_layout(plain, "contiguous")
     file_layout(packed, "compressed")
     print("\n== bit-flip campaigns ==")
-    campaign(plain, "contiguous")
-    campaign(packed, "compressed")
+    campaign(plain, "contiguous", n_runs)
+    campaign(packed, "compressed", n_runs)
     print("\nCompression converts silent single-value corruption into")
     print("decompression failures the application cannot miss.")
+
+
+if __name__ == "__main__":
+    main()

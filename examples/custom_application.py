@@ -78,12 +78,16 @@ class TinyKvStore(HpcApplication):
         return Outcome.BENIGN, "files differ only in dead bytes"
 
 
-if __name__ == "__main__":
-    app = TinyKvStore()
+def main(n_runs: int = 150, n_records: int = 200) -> None:
+    app = TinyKvStore(n_records)
     print("characterizing a checksummed KV store (not in the paper):\n")
     for fault_model in ("BF", "SW", "DW"):
-        config = CampaignConfig(fault_model=fault_model, n_runs=150, seed=5)
+        config = CampaignConfig(fault_model=fault_model, n_runs=n_runs, seed=5)
         result = Campaign(app, config).run()
         print(f"  {result.summary()}")
     print("\nNote the contrast with the paper's apps: explicit per-record")
     print("checksums convert nearly all would-be SDCs into detected.")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,6 +6,7 @@
 3. The average-value detection + auto-correction methodology in action.
 """
 
+from repro.apps.nyx import NyxApplication
 from repro.experiments import run_table3, run_table4
 from repro.experiments.params import nyx_small
 from repro.fusefs.mount import mount
@@ -13,20 +14,21 @@ from repro.fusefs.vfs import FFISFileSystem
 from repro.mhdf5.repair import diagnose_dataset, repair_file
 
 
-def metadata_sweep() -> None:
+def metadata_sweep(byte_stride: int) -> None:
     print("=" * 70)
-    print("Table III: byte-by-byte metadata corruption (stride 4 for speed;")
+    print(f"Table III: byte-by-byte metadata corruption (stride {byte_stride} "
+          "for speed;")
     print("           run the bench for the full per-byte sweep)")
     print("=" * 70)
-    result = run_table3(byte_stride=4)
+    result = run_table3(byte_stride=byte_stride)
     print(result.render())
 
 
-def field_symptoms() -> None:
+def field_symptoms(app: NyxApplication = None) -> None:
     print("=" * 70)
     print("Table IV: what each SDC-capable field does to the post-analysis")
     print("=" * 70)
-    print(run_table4().render())
+    print(run_table4(app).render())
 
 
 def detect_and_repair() -> None:
@@ -59,7 +61,12 @@ def detect_and_repair() -> None:
         print(f"mean after: {report.mean_after:.6f} (invariant restored)")
 
 
-if __name__ == "__main__":
-    metadata_sweep()
-    field_symptoms()
+def main(byte_stride: int = 4, table4_app: NyxApplication = None) -> None:
+    """``table4_app`` defaults to the 64^3 Nyx of the paper's Table IV."""
+    metadata_sweep(byte_stride)
+    field_symptoms(table4_app)
     detect_and_repair()
+
+
+if __name__ == "__main__":
+    main()

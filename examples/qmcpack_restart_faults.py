@@ -68,16 +68,21 @@ def demonstrate_propagation(app: QmcpackApplication) -> None:
     print(f"  verdict                          : {verdict}\n")
 
 
-def campaign(app: QmcpackApplication) -> None:
-    print(f"campaigns ({N_RUNS} runs per fault model):")
+def campaign(app: QmcpackApplication, n_runs: int) -> None:
+    print(f"campaigns ({n_runs} runs per fault model):")
     for fault_model in ("BF", "SW", "DW"):
-        config = CampaignConfig(fault_model=fault_model, n_runs=N_RUNS, seed=7)
+        config = CampaignConfig(fault_model=fault_model, n_runs=n_runs, seed=7)
         result = Campaign(app, config).run()
         print(f"  {result.summary()}")
 
 
-if __name__ == "__main__":
-    app = QmcpackApplication(seed=2021)
+def main(n_runs: int = N_RUNS, app: QmcpackApplication = None) -> None:
+    if app is None:
+        app = QmcpackApplication(seed=2021)
     show_golden(app)
     demonstrate_propagation(app)
-    campaign(app)
+    campaign(app, n_runs)
+
+
+if __name__ == "__main__":
+    main()

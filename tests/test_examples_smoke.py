@@ -53,3 +53,44 @@ class TestMontageStageStudy:
         assert "MT4-DW" in text
         # All 12 cells share one golden capture (profile derived from it).
         assert "1 shared fault-free runs" in text
+
+
+class TestCompressedCheckpoints:
+    def test_runs_at_tiny_scale(self, capsys):
+        load_example("compressed_checkpoints").main(n_runs=3,
+                                                    shape=(16, 16, 16))
+        text = capsys.readouterr().out
+        assert "compressed   BF outcomes:" in text
+
+
+class TestCustomApplication:
+    def test_runs_at_tiny_scale(self, capsys):
+        load_example("custom_application").main(n_runs=3, n_records=20)
+        text = capsys.readouterr().out
+        assert "tiny-kv/DW" in text
+
+
+class TestNyxMetadataStudy:
+    def test_runs_at_tiny_scale(self, capsys):
+        from repro.experiments.params import nyx_small
+
+        load_example("nyx_metadata_study").main(byte_stride=256,
+                                                table4_app=nyx_small())
+        text = capsys.readouterr().out
+        assert "Table IV: what each SDC-capable field does" in text
+        assert "repair    : success=True" in text
+
+
+class TestQmcpackRestartFaults:
+    def test_runs_at_tiny_scale(self, capsys):
+        from repro.apps.qmcpack import DmcParams, QmcpackApplication, VmcParams
+
+        app = QmcpackApplication(
+            seed=2021, vmc_params=VmcParams(n_walkers=24, n_blocks=12,
+                                            warmup_blocks=2),
+            dmc_params=DmcParams(target_walkers=24, n_blocks=30),
+            equilibration=5)
+        load_example("qmcpack_restart_faults").main(n_runs=2, app=app)
+        text = capsys.readouterr().out
+        assert "campaigns (2 runs per fault model):" in text
+        assert "qmcpack/DW" in text

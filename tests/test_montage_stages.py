@@ -109,7 +109,7 @@ class TestProjection:
                 step.fn(mp, carry)
         return carry
 
-    def test_mproj_skips_unreadable(self, mp, rng):
+    def test_run_mproj_skips_unreadable(self, mp, rng):
         good = ImageHDU(rng.random((8, 8)).astype(np.float32), header={
             "TILE": 0, "CRPIX1": 0.0, "CRPIX2": 0.0,
             "CDELT1": 0.0, "CDELT2": 0.0})
@@ -118,7 +118,7 @@ class TestProjection:
         carry = self.run_mproj_steps(mp, ["/raw0.fits", "/raw1.fits"])
         assert len(carry["projected"]) == 1
 
-    def test_mproj_all_bad_crashes(self, mp):
+    def test_run_mproj_all_bad_crashes(self, mp):
         mp.write_file("/raw.fits", b"\x00" * 2880)
         with pytest.raises(FormatError):
             self.run_mproj_steps(mp, ["/raw.fits"])

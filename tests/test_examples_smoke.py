@@ -1,4 +1,4 @@
-"""Fast-lane smoke tests for the migrated Study-API examples.
+"""Fast-lane smoke tests for every example.
 
 The examples double as documentation; running them (at a tiny scale)
 keeps their imports and the public surface they demonstrate honest.

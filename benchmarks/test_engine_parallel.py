@@ -6,7 +6,9 @@ Times the same ≥64-run Nyx BF campaign under the serial executor and a
 speedup.  The speedup assertion only applies where the host actually
 has multiple cores -- on a single-core box the pool degenerates to
 serial execution plus fork overhead, which is exactly what the report
-then shows.
+then shows.  Besides the host's ``cores``, the baseline records
+``allowed_cpus``: the pool forks at most one worker per CPU in this
+process's affinity mask, so that is the parallelism the speedup had.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import time
 
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
+from repro.core.engine.executor import _allowed_cpus
 from repro.experiments.params import nyx_default
 
 N_RUNS = 64
@@ -43,10 +46,12 @@ def test_engine_parallel_speedup(benchmark, save_report,
     assert parallel.records == serial.records
 
     cores = os.cpu_count() or 1
+    allowed_cpus = _allowed_cpus()
     speedup = serial_s / parallel_s if parallel_s else float("inf")
     save_report("engine_parallel", (
         f"Engine: Nyx BF campaign, {N_RUNS} runs, "
-        f"serial vs --workers {WORKERS} ({cores} cores)\n"
+        f"serial vs --workers {WORKERS} ({cores} cores, "
+        f"{allowed_cpus} allowed)\n"
         f"  serial   : {serial_s:8.2f} s\n"
         f"  parallel : {parallel_s:8.2f} s\n"
         f"  speedup  : {speedup:8.2f}x\n"
@@ -55,6 +60,7 @@ def test_engine_parallel_speedup(benchmark, save_report,
         "runs": N_RUNS,
         "workers": WORKERS,
         "cores": cores,
+        "allowed_cpus": allowed_cpus,
         "serial_wall_s": round(serial_s, 3),
         "parallel_wall_s": round(parallel_s, 3),
         "serial_runs_per_s": round(N_RUNS / serial_s, 2),

@@ -10,14 +10,20 @@ steer the projector and the final energy.
 
 from repro import Campaign, CampaignConfig, FFISFileSystem, mount
 from repro.apps.qmcpack import (
+    CONFIG_FILE,
     HE_EXACT_ENERGY,
     S001_SCALARS,
     SDC_WINDOW,
     QmcpackApplication,
 )
+from repro.apps.qmcpack.app import WALKER_DATASET
 from repro.fusefs.interposer import PrimitiveCall
+from repro.mhdf5.reader import Hdf5Reader
 
 N_RUNS = 60
+#: The float64 walker coordinate whose mantissa is flipped (the last one
+#: when the population holds fewer).
+COORDINATE = 8
 
 
 def show_golden(app: QmcpackApplication) -> None:
@@ -36,23 +42,34 @@ def demonstrate_propagation(app: QmcpackApplication) -> None:
     with mount(fs) as mp:
         app.execute(mp)
         golden_s001 = mp.read_file(S001_SCALARS)
+        walkers = Hdf5Reader(mp, CONFIG_FILE).info(WALKER_DATASET)
+    # A mid-mantissa bit of one float64 coordinate: perturbs that walker
+    # by ~1e-6 bohr -- far below any physical scale, yet enough to steer
+    # the stochastic trajectory.
+    coordinate = min(COORDINATE, walkers.dataspace.npoints - 1)
+    target = walkers.layout.data_address + 8 * coordinate + 4
 
     fs = FFISFileSystem()
 
+    opened = []
     fired = []
 
+    def note_open(call: PrimitiveCall):
+        opened.append(call.args["path"])
+        return None
+
     def flip_one_walker_bit(call: PrimitiveCall):
-        if (call.primitive == "ffis_write" and not fired
-                and call.args["offset"] > 0 and call.args["size"] >= 4096):
-            buf = bytearray(call.args["buf"])
-            # A mid-mantissa bit of one float64 coordinate: perturbs that
-            # walker by ~1e-6 bohr -- far below any physical scale, yet
-            # enough to steer the stochastic trajectory.
-            buf[68] ^= 0x10
-            call.args["buf"] = bytes(buf)
+        offset, buf = call.args["offset"], call.args["buf"]
+        # The walker file is written whole between its open and the next.
+        if (opened[-1] == CONFIG_FILE and not fired
+                and offset <= target < offset + len(buf)):
+            flipped = bytearray(buf)
+            flipped[target - offset] ^= 0x10
+            call.args["buf"] = bytes(flipped)
             fired.append(call.seqno)
         return None
 
+    fs.interposer.add_hook("ffis_open", note_open)
     fs.interposer.add_hook("ffis_write", flip_one_walker_bit)
     with mount(fs) as mp:
         app.execute(mp)

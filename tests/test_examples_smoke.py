@@ -6,6 +6,7 @@ keeps their imports and the public surface they demonstrate honest.
 
 import importlib.util
 import os
+import re
 
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
@@ -92,5 +93,8 @@ class TestQmcpackRestartFaults:
             equilibration=5)
         load_example("qmcpack_restart_faults").main(n_runs=2, app=app)
         text = capsys.readouterr().out
+        # 24 walkers fit in one write under 4 KiB; the bit still lands.
+        changed = re.search(r"bytes changed : (\d+)", text)
+        assert changed and int(changed.group(1)) > 0, text
         assert "campaigns (2 runs per fault model):" in text
         assert "qmcpack/DW" in text

@@ -21,7 +21,6 @@ from repro.apps.qmcpack.scalars import (
     ScalarRow,
     parse_scalars,
     render_scalars,
-    rows_from_blocks,
     write_scalars,
 )
 from repro.apps.qmcpack.vmc import VmcParams, run_vmc
@@ -38,7 +37,6 @@ __all__ = [
     "ScalarRow",
     "parse_scalars",
     "render_scalars",
-    "rows_from_blocks",
     "write_scalars",
     "AnalysisError",
     "EnergyEstimate",

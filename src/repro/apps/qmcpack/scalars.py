@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.fusefs.mount import MountPoint
 
 COLUMNS = ("index", "LocalEnergy", "Variance", "Weight")
@@ -63,9 +61,3 @@ def parse_scalars(text: str) -> List[ScalarRow]:
             continue
         rows.append(ScalarRow(index, values[0], values[1], values[2]))
     return rows
-
-
-def rows_from_blocks(energies: np.ndarray, variances: np.ndarray,
-                     weights: np.ndarray) -> List[ScalarRow]:
-    return [ScalarRow(i, float(e), float(v), float(w))
-            for i, (e, v, w) in enumerate(zip(energies, variances, weights))]

@@ -50,12 +50,6 @@ class FieldWriter:
     def put_reserved(self, nbytes: int, name: str = "reserved") -> None:
         self.put(b"\x00" * nbytes, name, FieldClass.RESERVED)
 
-    def pad_to(self, size: int, name: str = "alignment padding") -> None:
-        if self._len > size:
-            raise ValueError(f"structure length {self._len} exceeds target {size}")
-        if self._len < size:
-            self.put(b"\x00" * (size - self._len), name, FieldClass.RESERVED)
-
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
 

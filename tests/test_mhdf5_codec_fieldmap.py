@@ -16,14 +16,6 @@ class TestFieldWriter:
         assert [(s.start, s.end, s.name) for s in w.spans] == [
             (100, 102, "a"), (102, 105, "b")]
 
-    def test_pad_to(self):
-        w = FieldWriter()
-        w.put_bytes(b"ab", "x", FieldClass.NUMERIC)
-        w.pad_to(8)
-        assert len(w.getvalue()) == 8
-        with pytest.raises(ValueError):
-            w.pad_to(4)
-
     def test_qualified_names(self):
         w = FieldWriter(container="objHeader.dataType")
         w.put_uint(0, 1, "Exponent Bias", FieldClass.NUMERIC)

@@ -13,7 +13,6 @@ from repro.apps.qmcpack.scalars import (
     ScalarRow,
     parse_scalars,
     render_scalars,
-    rows_from_blocks,
     write_scalars,
 )
 
@@ -57,12 +56,6 @@ class TestScalarsFormat:
         write_scalars(mp, "/s.dat", make_rows(50), block_size=512)
         parsed = parse_scalars(mp.read_file("/s.dat").decode())
         assert len(parsed) == 50
-
-    def test_rows_from_blocks(self):
-        rows = rows_from_blocks(np.array([-2.9, -2.8]), np.array([0.1, 0.2]),
-                                np.array([10.0, 11.0]))
-        assert rows[1].index == 1
-        assert rows[1].weight == 11.0
 
 
 class TestQmca:

@@ -7,18 +7,20 @@ campaigns (paper: 1,000 per cell).
 """
 
 from repro.analysis.tables import render_outcome_grid
+from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.outcomes import Outcome
-from repro.experiments.figure7 import (
-    FAULT_MODELS,
-    MONTAGE_STAGES,
-    PAPER_NOTES,
-    run_figure7_cell,
-)
 from repro.experiments.params import default_runs, montage_default, nyx_default, qmcpack_default
+from repro.study.registry import FAULT_MODELS, MONTAGE_STAGES, PAPER_NOTES
 
 from conftest import run_once
 
 RUNS = default_runs(150)
+
+
+def _cell(app, fm, phase=None):
+    return Campaign(app, CampaignConfig(fault_model=fm, n_runs=RUNS, seed=1,
+                                        phase=phase)).run()
 
 
 def _cells_report(cells):
@@ -32,7 +34,7 @@ def test_figure7_nyx(benchmark, save_report):
     app = nyx_default()
 
     def run_nyx_row():
-        return {f"NYX-{fm}": run_figure7_cell(app, fm, RUNS) for fm in FAULT_MODELS}
+        return {f"NYX-{fm}": _cell(app, fm) for fm in FAULT_MODELS}
 
     cells = run_once(benchmark, run_nyx_row)
     save_report("figure7_nyx", _cells_report(cells))
@@ -53,7 +55,7 @@ def test_figure7_qmcpack(benchmark, save_report):
     app = qmcpack_default()
 
     def run_qmc_row():
-        return {f"QMC-{fm}": run_figure7_cell(app, fm, RUNS) for fm in FAULT_MODELS}
+        return {f"QMC-{fm}": _cell(app, fm) for fm in FAULT_MODELS}
 
     cells = run_once(benchmark, run_qmc_row)
     save_report("figure7_qmcpack", _cells_report(cells))
@@ -79,8 +81,7 @@ def test_figure7_montage(benchmark, save_report):
         cells = {}
         for fm in FAULT_MODELS:
             for i, stage in enumerate(MONTAGE_STAGES, start=1):
-                cells[f"MT{i}-{fm}"] = run_figure7_cell(app, fm, RUNS,
-                                                        phase=stage)
+                cells[f"MT{i}-{fm}"] = _cell(app, fm, stage)
         return cells
 
     cells = run_once(benchmark, run_montage_block)

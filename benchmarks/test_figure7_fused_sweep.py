@@ -18,18 +18,16 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments.figure7 import (
-    FAULT_MODELS,
-    MONTAGE_STAGES,
-    run_figure7,
-    run_figure7_cell,
-)
+from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.experiments.params import (
     default_runs,
     montage_default,
     nyx_default,
     qmcpack_default,
 )
+from repro.study import Study
+from repro.study.registry import FAULT_MODELS, MONTAGE_STAGES, figure7_spec
 
 #: Runs per cell.  Small enough that the 2-per-cell fault-free overhead
 #: the fusion deletes is a visible fraction of the total; the full-scale
@@ -37,29 +35,33 @@ from repro.experiments.params import (
 RUNS = default_runs(8)
 
 
+def _cell(app, fm, phase=None):
+    return Campaign(app, CampaignConfig(fault_model=fm, n_runs=RUNS, seed=1,
+                                        phase=phase)).run()
+
+
 def _sequential_cells(apps):
     """The PR 1 baseline: one isolated Campaign.run() per cell."""
     cells = {}
     for fm in FAULT_MODELS:
-        cells[f"NYX-{fm}"] = run_figure7_cell(apps["NYX"], fm, RUNS)
-        cells[f"QMC-{fm}"] = run_figure7_cell(apps["QMC"], fm, RUNS)
+        cells[f"NYX-{fm}"] = _cell(apps["nyx"], fm)
+        cells[f"QMC-{fm}"] = _cell(apps["qmcpack"], fm)
         for i, stage in enumerate(MONTAGE_STAGES, start=1):
-            cells[f"MT{i}-{fm}"] = run_figure7_cell(apps["MT"], fm, RUNS,
-                                                    phase=stage)
+            cells[f"MT{i}-{fm}"] = _cell(apps["montage"], fm, stage)
     return cells
 
 
 def test_figure7_fused_sweep_beats_sequential_cells(benchmark, save_report,
                                                     save_engine_baseline):
-    apps = {"NYX": nyx_default(), "QMC": qmcpack_default(),
-            "MT": montage_default()}
+    apps = {"nyx": nyx_default(), "qmcpack": qmcpack_default(),
+            "montage": montage_default()}
 
     start = time.perf_counter()
     sequential = _sequential_cells(apps)
     sequential_s = time.perf_counter() - start
 
     def fused_run():
-        return run_figure7(n_runs=RUNS, apps=apps)
+        return Study(figure7_spec(n_runs=RUNS), apps=apps).run()
 
     start = time.perf_counter()
     fused = benchmark.pedantic(fused_run, rounds=1, iterations=1,
@@ -67,9 +69,9 @@ def test_figure7_fused_sweep_beats_sequential_cells(benchmark, save_report,
     fused_s = time.perf_counter() - start
 
     # Fusion changes cost, not science: every cell record-identical.
-    assert set(fused.cells) == set(sequential)
+    assert set(fused.keys()) == set(sequential)
     for label, cell in sequential.items():
-        assert fused.cells[label].records == cell.records
+        assert fused.cell(label) == cell.records
 
     n_cells = len(sequential)
     sequential_fault_free = n_cells              # golden capture per cell

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments.figure7 import run_figure7
 from repro.experiments.params import (
     default_runs,
     montage_default,
     nyx_default,
     qmcpack_default,
 )
+from repro.study import Study
+from repro.study.registry import figure7_spec
 
 #: Runs per cell.  The replay win scales with campaign size (the golden
 #: capture is a fixed cost both engines pay once); 8 per cell is enough
@@ -38,8 +39,12 @@ MIN_SPEEDUP = 1.8
 
 
 def _apps():
-    return {"NYX": nyx_default(), "QMC": qmcpack_default(),
-            "MT": montage_default()}
+    return {"nyx": nyx_default(), "qmcpack": qmcpack_default(),
+            "montage": montage_default()}
+
+
+def _figure7():
+    return Study(figure7_spec(n_runs=RUNS), apps=_apps()).run()
 
 
 def test_prefix_replay_beats_cold_execution(benchmark, save_report,
@@ -48,28 +53,25 @@ def test_prefix_replay_beats_cold_execution(benchmark, save_report,
     # The PR 4 baseline: the same fused sweep, every faulty run cold.
     monkeypatch.setenv("REPRO_NO_REPLAY", "1")
     start = time.perf_counter()
-    cold = run_figure7(n_runs=RUNS, apps=_apps())
+    cold = _figure7()
     cold_s = time.perf_counter() - start
     monkeypatch.delenv("REPRO_NO_REPLAY")
 
-    def replayed_run():
-        return run_figure7(n_runs=RUNS, apps=_apps())
-
     start = time.perf_counter()
-    replayed = benchmark.pedantic(replayed_run, rounds=1, iterations=1,
+    replayed = benchmark.pedantic(_figure7, rounds=1, iterations=1,
                                   warmup_rounds=0)
     replayed_s = time.perf_counter() - start
 
     # Replay changes cost, not science: every cell record-identical.
-    assert set(replayed.cells) == set(cold.cells)
-    identical = all(replayed.cells[label].records == cell.records
-                    for label, cell in cold.cells.items())
+    assert replayed.keys() == cold.keys()
+    identical = all(replayed.cell(label) == cold.cell(label)
+                    for label in cold.keys())
     assert identical
 
-    n_runs = sum(len(cell.records) for cell in cold.cells.values())
+    n_runs = len(cold)
     speedup = cold_s / replayed_s if replayed_s else float("inf")
     save_report("prefix_replay", (
-        f"Figure 7 grid ({len(cold.cells)} cells x {RUNS} runs), cold "
+        f"Figure 7 grid ({len(cold.keys())} cells x {RUNS} runs), cold "
         "execution vs prefix replay\n"
         f"  cold (PR 4 engine): {cold_s:8.2f} s "
         f"({n_runs / cold_s:6.1f} runs/s)\n"
@@ -78,7 +80,7 @@ def test_prefix_replay_beats_cold_execution(benchmark, save_report,
         f"  speedup           : {speedup:8.2f}x\n"
         f"  records identical : {identical}\n"))
     save_engine_baseline("prefix_replay_figure7", {
-        "cells": len(cold.cells),
+        "cells": len(cold.keys()),
         "runs_per_cell": RUNS,
         "cold_wall_s": round(cold_s, 3),
         "replay_wall_s": round(replayed_s, 3),

@@ -7,16 +7,18 @@ the SDC-capable fields.
 """
 
 from repro.core.outcomes import Outcome
-from repro.experiments import run_table3
+from repro.study import Study, get_study
+from repro.study.registry import field_examples
 
 from conftest import run_once
 
 
 def test_table3_metadata_classification(benchmark, save_report):
-    result = run_once(benchmark, run_table3)
-    save_report("table3", result.render())
+    table3 = get_study("table3")
+    results = run_once(benchmark, lambda: Study(table3.build()).run())
+    save_report("table3", table3.render(results))
 
-    tally = result.campaign.tally
+    tally = results.tally()
     assert tally.total > 2000                       # paper: 2,432 cases
 
     # Proportions: benign dominates, crash is a sizeable minority, SDC is
@@ -26,11 +28,12 @@ def test_table3_metadata_classification(benchmark, save_report):
     assert 0.0 < tally.rate(Outcome.SDC) < 0.02         # paper 0.2 %
 
     # The SDC-capable fields are the paper's set (Table III/IV).
-    sdc_fields = " | ".join(result.field_examples.get(Outcome.SDC, []))
+    examples = field_examples(results.records())
+    sdc_fields = " | ".join(examples.get(Outcome.SDC, []))
     assert any(name in sdc_fields for name in
                ("Exponent Bias", "Mantissa", "Address of Raw Data"))
 
     # Benign cases are dominated by unused/reserved capacity, the paper's
     # explanation #1.
-    benign_fields = " | ".join(result.field_examples.get(Outcome.BENIGN, [])[:3])
+    benign_fields = " | ".join(examples.get(Outcome.BENIGN, [])[:3])
     assert "unused" in benign_fields or "reserved" in benign_fields.lower()

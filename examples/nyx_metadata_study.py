@@ -7,11 +7,12 @@
 """
 
 from repro.apps.nyx import NyxApplication
-from repro.experiments import run_table3, run_table4
+from repro.experiments import run_table4
 from repro.experiments.params import nyx_small
 from repro.fusefs.mount import mount
 from repro.fusefs.vfs import FFISFileSystem
 from repro.mhdf5.repair import diagnose_dataset, repair_file
+from repro.study import Study, get_study
 
 
 def metadata_sweep(byte_stride: int) -> None:
@@ -20,8 +21,9 @@ def metadata_sweep(byte_stride: int) -> None:
           "for speed;")
     print("           run the bench for the full per-byte sweep)")
     print("=" * 70)
-    result = run_table3(byte_stride=byte_stride)
-    print(result.render())
+    table3 = get_study("table3")
+    results = Study(table3.build(byte_stride=byte_stride)).run()
+    print(table3.render(results))
 
 
 def field_symptoms(app: NyxApplication = None) -> None:

@@ -16,8 +16,10 @@ Public surface (stable; see the README's public-API policy):
   metadata fields and repair methodology the paper studies.
 * :mod:`repro.mfits`  -- the mini-FITS format for the Montage workload.
 * :mod:`repro.apps`   -- Nyx, QMCPACK, and Montage applications-under-test.
-* :mod:`repro.analysis` / :mod:`repro.experiments` -- statistics, table
-  rendering, and one driver per paper table/figure.
+* :mod:`repro.analysis` -- statistics and table rendering.
+
+:mod:`repro.experiments` indexes the paper's tables and figures (``repro
+run <id>``) and holds the bespoke drivers; it is not stable surface.
 
 Quickstart -- one campaign::
 
@@ -43,7 +45,7 @@ restartable: ``workers`` fans runs out over a process pool
 (record-for-record identical to serial execution) and ``out``/``resume``
 checkpoint every completed run to a JSONL file.  The same engine backs
 the CLI (``python -m repro study run figure7 --workers 4 --out
-grid.jsonl --resume``) and every experiment driver.
+grid.jsonl --resume``) and every experiment.
 
 Names are resolved lazily (PEP 562), so ``import repro`` -- and
 ``repro --version`` -- stay cheap until something is used.

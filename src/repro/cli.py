@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``experiments``                   -- list the paper's tables/figures
-* ``run <experiment-id>``           -- run one reproduction driver
+* ``run <experiment-id>``           -- run one paper table/figure
 * ``study run|plan|describe``       -- declarative studies: registered
   ids (``figure7``, ``multifault``, ...), a TOML spec file, or inline
   ``--app/--model/--scenario`` axes
@@ -24,9 +24,9 @@ one fused sweep), so the engine knobs behave identically everywhere:
 ``--workers N`` fans runs out over a process pool (bit-identical to
 serial), ``--out F`` streams each record to a JSONL checkpoint, and
 ``--resume`` continues an interrupted execution from that file.  ``run``
-forwards the same knobs to the drivers whose registry entry declares
-them (e.g. ``repro run figure7 --workers 4 --out sweep.jsonl
---resume``).
+executes the grid experiments (``figure7``, ``multifault``, ``table3``)
+as their registered studies, with the same knobs (e.g. ``repro run
+figure7 --workers 4 --out sweep.jsonl --resume``).
 
 Imports are deferred into the command handlers so ``repro --version``
 and ``--help`` never pay for numpy or the application stack.
@@ -109,14 +109,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("experiments", help="list the reproducible tables/figures")
 
-    run = sub.add_parser("run", help="run one experiment driver")
+    studies = ", ".join(exp.id for exp in EXPERIMENTS.values() if exp.study)
+    run = sub.add_parser("run", help="run one experiment")
     run.add_argument("experiment", choices=sorted(EXPERIMENTS),
                      help="experiment id (e.g. table3, figure7)")
     run.add_argument("--workers", type=_positive_int, default=1,
-                     help="worker processes for the driver's campaigns")
+                     help=f"worker processes for the {studies} studies "
+                          "(results are identical either way); the other "
+                          "experiments run serially and ignore it")
     run.add_argument("--out", default=None, metavar="RESULTS.jsonl",
-                     help="checkpoint the driver's sweep to this JSONL "
-                          "file (drivers with campaign sweeps only)")
+                     help="checkpoint the study's sweep to this JSONL "
+                          f"file ({studies} only)")
     run.add_argument("--resume", action="store_true",
                      help="re-execute only the (cell, run) pairs missing "
                           "from --out")
@@ -284,18 +287,22 @@ def _cmd_experiments(out) -> int:
 
 def _cmd_run(args, parser, out) -> int:
     experiment = get_experiment(args.experiment)
-    kwargs = {"workers": args.workers}
     if args.resume and args.out is None:
         parser.error("--resume requires --out")
-    if args.out is not None:
-        if not experiment.accepts("results_path"):
-            parser.error(f"{experiment.id} runs no campaign sweep; "
-                         "--out/--resume do not apply")
-        kwargs["results_path"] = args.out
-        kwargs["resume"] = args.resume
+    if args.out is not None and not experiment.study:
+        parser.error(f"{experiment.id} runs no campaign sweep; "
+                     "--out/--resume do not apply")
     print(f"running {experiment.id}: {experiment.description}", file=out)
-    result = experiment.resolve()(**kwargs)
-    print(result.render(), file=out)
+    if not experiment.study:
+        print(experiment.resolve()().render(), file=out)
+        return 0
+    from repro.study import Study, get_study
+
+    definition = get_study(experiment.study)
+    spec = definition.build().with_knobs(
+        workers=args.workers, out=args.out,
+        resume=True if args.resume else None)
+    print(definition.render(Study(spec).run()), file=out)
     return 0
 
 

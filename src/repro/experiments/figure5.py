@@ -15,10 +15,8 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.nyx import NyxApplication
-from repro.core.metadata_campaign import MetadataCampaign, _ByteCorruptionHook
+from repro.experiments.flipped import decode_flipped
 from repro.experiments.params import nyx_default
-from repro.fusefs.mount import mount
-from repro.fusefs.vfs import FFISFileSystem
 
 
 @dataclass
@@ -41,33 +39,15 @@ class Figure5Result:
         return "\n".join(lines) + "\n"
 
 
-def _decode_with_bit(app: NyxApplication, info, byte_offset: int, bit: int) -> np.ndarray:
-    fs = FFISFileSystem()
-    fs.interposer.add_hook(
-        "ffis_write", _ByteCorruptionHook(info.write_index, byte_offset, bit))
-    with mount(fs) as mp:
-        app.execute(mp)
-        return app.read_density(mp)
-
-
 def run_figure5(app: Optional[NyxApplication] = None,
-                bias_bit: int = 3, ard_bit: int = 5,
-                workers: int = 1) -> Figure5Result:
-    """``workers`` is part of the uniform driver interface; this figure
-    decodes two targeted corruptions, serially."""
+                bias_bit: int = 3, ard_bit: int = 5) -> Figure5Result:
+    """Decode the field with a faulty Exponent Bias and a faulty ARD."""
     if app is None:
         app = nyx_default()
-    campaign = MetadataCampaign(app, workers=workers)
-    info, _ = campaign.locate_metadata_write()
-    fieldmap = app.last_write_result.fieldmap
-
-    def offset_of(substring: str) -> int:
-        span = next(s for s in fieldmap if substring in s.name)
-        return span.start - info.file_offset
-
+    faulty_bias, faulty_ard = decode_flipped(
+        app, [("Exponent Bias", 0, bias_bit),
+              ("Address of Raw Data", 0, ard_bit)])
     rho = app.rho.astype(np.float64)
-    faulty_bias = _decode_with_bit(app, info, offset_of("Exponent Bias"), bias_bit)
-    faulty_ard = _decode_with_bit(app, info, offset_of("Address of Raw Data"), ard_bit)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = faulty_bias / rho

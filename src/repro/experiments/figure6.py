@@ -13,10 +13,8 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.nyx import NyxApplication, candidate_count
-from repro.core.metadata_campaign import MetadataCampaign, _ByteCorruptionHook
+from repro.experiments.flipped import decode_flipped
 from repro.experiments.params import nyx_default
-from repro.fusefs.mount import mount
-from repro.fusefs.vfs import FFISFileSystem
 
 
 @dataclass
@@ -37,25 +35,12 @@ class Figure6Result:
         )
 
 
-def run_figure6(app: Optional[NyxApplication] = None, bit: int = 1,
-                workers: int = 1) -> Figure6Result:
-    """``workers`` is part of the uniform driver interface; this figure
-    decodes one targeted corruption, serially."""
+def run_figure6(app: Optional[NyxApplication] = None,
+                bit: int = 1) -> Figure6Result:
+    """Count halo candidates with a faulty Mantissa Size."""
     if app is None:
         app = nyx_default()
-    campaign = MetadataCampaign(app, workers=workers)
-    info, _ = campaign.locate_metadata_write()
-    fieldmap = app.last_write_result.fieldmap
-    span = next(s for s in fieldmap if "Mantissa Size" in s.name)
-
-    fs = FFISFileSystem()
-    fs.interposer.add_hook(
-        "ffis_write",
-        _ByteCorruptionHook(info.write_index, span.start - info.file_offset, bit))
-    with mount(fs) as mp:
-        app.execute(mp)
-        faulty_rho = app.read_density(mp)
-
+    (faulty_rho,) = decode_flipped(app, [("Mantissa Size", 0, bit)])
     rho = app.rho.astype(np.float64)
     return Figure6Result(
         golden_candidates=candidate_count(rho, app.threshold_factor),

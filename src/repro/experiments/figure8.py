@@ -43,7 +43,7 @@ class Figure8Result:
 
 def run_figure8(app: Optional[NyxApplication] = None,
                 seed: int = 8, n_bins: int = 8,
-                max_tries: int = 64, workers: int = 1) -> Figure8Result:
+                max_tries: int = 64) -> Figure8Result:
     """Inject dropped data writes until one visibly reshapes the histogram.
 
     Every dropped write is an SDC (the average shifts); the figure wants
@@ -51,8 +51,7 @@ def run_figure8(app: Optional[NyxApplication] = None,
     overlaps halo cells -- the paper's "halos with larger mass ... are
     more susceptible".  The search mirrors how such a case would be
     picked from campaign records for visualization.  It stops at the
-    first qualifying instance, so it stays serial; ``workers`` is part
-    of the uniform driver interface.
+    first qualifying instance, so it stays serial.
     """
     if app is None:
         app = nyx_default()

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-
 from repro.apps.montage import MontageApplication
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
@@ -46,21 +45,19 @@ class Figure9Result:
 
 
 def run_figure9(app: Optional[MontageApplication] = None,
-                seed: int = 9, max_tries: int = 64,
-                workers: int = 1) -> Figure9Result:
+                seed: int = 9, max_tries: int = 64) -> Figure9Result:
     """Find a dropped mAdd write that produces the black-stripe artifact.
 
-    The search stops at the first qualifying instance, so it stays
-    serial; ``workers`` is part of the uniform driver interface.
+    One fault-free run serves as both the golden record and the write
+    profile.  The search stops at the first qualifying instance, so it
+    stays serial.
     """
     if app is None:
         app = montage_default()
     campaign = Campaign(app, CampaignConfig(fault_model="DW", n_runs=1,
-                                            seed=seed, phase="mAdd",
-                                            workers=workers))
-    profile = campaign.profile()
+                                            seed=seed, phase="mAdd"))
     golden = campaign.capture_golden()
-    window = profile.window("mAdd")
+    window = campaign.profile_from_golden(golden).window("mAdd")
     golden_min = golden.analysis["min"]
     injector = FaultInjector(campaign.signature)
 

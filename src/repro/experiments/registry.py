@@ -1,79 +1,67 @@
-"""Registry mapping experiment ids to drivers (the DESIGN.md index).
+"""Registry mapping experiment ids to what reproduces them (README's index).
 
-Entries are *lazy*: each experiment names its driver by import path and
-resolves it on first use, so listing the experiments (``repro
-experiments``, CLI ``choices``, ``repro --version``) never imports the
-ten driver modules.  ``knobs`` declares which engine keywords a driver
-accepts, replacing the CLI's old ``inspect.signature`` sniffing with an
-explicit contract.
+An experiment is either a registered study (``study``: the grid
+experiments, executed by :class:`~repro.study.Study` like ``repro study
+run <id>``) or a bespoke driver named by import path.  Entries are
+*lazy*: nothing here imports a driver module or the study registry, so
+listing the experiments (``repro experiments``, CLI ``choices``,
+``repro --version``) stays cheap.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
-
-#: Engine knobs shared by the drivers that execute fused sweeps.
-SWEEP_KNOBS = ("workers", "results_path", "resume")
+from typing import Callable, Dict
 
 
 @dataclass(frozen=True)
 class Experiment:
     id: str
     description: str
-    module: str
-    attr: str
     bench: str
-    #: Engine keywords the driver accepts (every driver takes
-    #: ``workers``; sweep-running drivers add checkpoint/resume).
-    knobs: Tuple[str, ...] = ("workers",)
+    #: The bespoke driver's import path (``module``, ``attr``).
+    module: str = ""
+    attr: str = ""
+    #: The registered study id (:mod:`repro.study.registry`) this
+    #: experiment runs, in place of a driver.
+    study: str = ""
 
     def resolve(self) -> Callable:
         """Import and return the driver callable."""
         return getattr(importlib.import_module(self.module), self.attr)
 
-    @property
-    def driver(self) -> Callable:
-        return self.resolve()
-
-    def accepts(self, knob: str) -> bool:
-        return knob in self.knobs
-
 
 EXPERIMENTS: Dict[str, Experiment] = {
     exp.id: exp for exp in (
         Experiment("table1", "Fault models supported by FFIS (conformance)",
-                   "repro.experiments.table1", "run_table1",
-                   "benchmarks/test_table1_fault_models.py"),
+                   "benchmarks/test_table1_fault_models.py",
+                   "repro.experiments.table1", "run_table1"),
         Experiment("table2", "Description of tested HPC applications",
-                   "repro.experiments.table2", "run_table2",
-                   "benchmarks/test_table2_applications.py"),
+                   "benchmarks/test_table2_applications.py",
+                   "repro.experiments.table2", "run_table2"),
         Experiment("table3", "Output classification of faulty HDF5 metadata",
-                   "repro.experiments.table3", "run_table3",
-                   "benchmarks/test_table3_metadata.py", knobs=SWEEP_KNOBS),
+                   "benchmarks/test_table3_metadata.py", study="table3"),
         Experiment("table4", "Per-field SDC symptoms for faulty metadata",
-                   "repro.experiments.table4", "run_table4",
-                   "benchmarks/test_table4_field_symptoms.py"),
+                   "benchmarks/test_table4_field_symptoms.py",
+                   "repro.experiments.table4", "run_table4"),
         Experiment("figure5", "Exponent-Bias scaling / ARD shift visualization",
-                   "repro.experiments.figure5", "run_figure5",
-                   "benchmarks/test_figure5_sdc_visualization.py"),
+                   "benchmarks/test_figure5_sdc_visualization.py",
+                   "repro.experiments.figure5", "run_figure5"),
         Experiment("figure6", "Halo candidates under faulty Mantissa Size",
-                   "repro.experiments.figure6", "run_figure6",
-                   "benchmarks/test_figure6_halo_candidates.py"),
+                   "benchmarks/test_figure6_halo_candidates.py",
+                   "repro.experiments.figure6", "run_figure6"),
         Experiment("figure7", "Characterization grid (apps x fault models)",
-                   "repro.experiments.figure7", "run_figure7",
                    "benchmarks/test_figure7_characterization.py",
-                   knobs=SWEEP_KNOBS),
+                   study="figure7"),
         Experiment("figure8", "Halo-mass distribution original vs DW",
-                   "repro.experiments.figure8", "run_figure8",
-                   "benchmarks/test_figure8_mass_distribution.py"),
+                   "benchmarks/test_figure8_mass_distribution.py",
+                   "repro.experiments.figure8", "run_figure8"),
         Experiment("figure9", "Faulty Montage mosaic (black-stripe artifact)",
-                   "repro.experiments.figure9", "run_figure9",
-                   "benchmarks/test_figure9_montage_fault.py"),
+                   "benchmarks/test_figure9_montage_fault.py",
+                   "repro.experiments.figure9", "run_figure9"),
         Experiment("multifault", "Outcome rates vs fault count k (scenarios)",
-                   "repro.experiments.multifault", "run_multifault",
-                   "tests/test_multifault.py", knobs=SWEEP_KNOBS),
+                   "tests/test_multifault.py", study="multifault"),
     )
 }
 

@@ -52,10 +52,8 @@ def _call(buf: bytes) -> PrimitiveCall:
                          seqno=0)
 
 
-def run_table1(seed: int = 0, block_size: int = 4096,
-               workers: int = 1) -> Table1Result:
-    """``workers`` is part of the uniform driver interface; this
-    conformance table applies each model once and runs serially."""
+def run_table1(seed: int = 0, block_size: int = 4096) -> Table1Result:
+    """Apply each fault model once to one block and describe the result."""
     rng = np.random.default_rng(seed)
     original = bytes(rng.integers(0, 256, size=block_size, dtype=np.uint8))
     result = Table1Result()

@@ -69,9 +69,8 @@ def _package_loc(package) -> int:
     return total
 
 
-def run_table2(workers: int = 1) -> Table2Result:
-    """``workers`` is part of the uniform driver interface; this table
-    profiles each application once and runs serially."""
+def run_table2() -> Table2Result:
+    """Profile each application's writes once and count its lines."""
     result = Table2Result()
     signature = FaultSignature(model=BitFlipFault())
     specs = [

@@ -25,10 +25,8 @@ import numpy as np
 from repro.analysis.tables import render_table
 from repro.apps.nyx import NyxApplication
 from repro.apps.nyx.halo_finder import HaloCatalog
-from repro.core.metadata_campaign import MetadataCampaign, _ByteCorruptionHook
+from repro.experiments.flipped import decode_flipped
 from repro.experiments.params import nyx_default
-from repro.fusefs.mount import mount
-from repro.fusefs.vfs import FFISFileSystem
 
 #: (row label, field-map name substring, byte index within field, bit index)
 TARGETS = (
@@ -151,29 +149,15 @@ def symptoms(label: str, golden: HaloCatalog, faulty: HaloCatalog) -> Table4Row:
                      average_value=average)
 
 
-def run_table4(app: Optional[NyxApplication] = None,
-               workers: int = 1) -> Table4Result:
-    """``workers`` is part of the uniform driver interface; this table
-    runs one targeted corruption per field, serially."""
+def run_table4(app: Optional[NyxApplication] = None) -> Table4Result:
+    """Corrupt each :data:`TARGETS` bit and characterize its symptom."""
     if app is None:
         app = nyx_default()
-    campaign = MetadataCampaign(app, workers=workers)
-    info, golden_record = campaign.locate_metadata_write()
-    fieldmap = app.last_write_result.fieldmap
+    densities = decode_flipped(
+        app, [(substring, byte, bit) for _, substring, byte, bit in TARGETS])
     golden_catalog = app.find_halos(app.rho.astype(np.float64))
-
     result = Table4Result(golden=golden_catalog)
-    for label, substring, byte_in_field, bit in TARGETS:
-        spans = [s for s in fieldmap if substring in s.name]
-        if not spans:
-            raise KeyError(f"field {substring!r} not found in field map")
-        byte_offset = spans[0].start + byte_in_field - info.file_offset
-        fs = FFISFileSystem()
-        fs.interposer.add_hook(
-            "ffis_write", _ByteCorruptionHook(info.write_index, byte_offset, bit))
-        with mount(fs) as mp:
-            app.execute(mp)
-            rho = app.read_density(mp)
-        faulty_catalog = app.find_halos(rho)
-        result.rows.append(symptoms(label, golden_catalog, faulty_catalog))
+    for (label, *_), rho in zip(TARGETS, densities):
+        result.rows.append(symptoms(label, golden_catalog,
+                                    app.find_halos(rho)))
     return result

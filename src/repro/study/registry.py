@@ -3,19 +3,17 @@
 Each entry pairs a :class:`~repro.study.spec.StudySpec` builder (pure
 data, environment-scaled when ``runs`` is left ``None``) with a render
 function from the uniform :class:`~repro.study.resultset.ResultSet` to
-the paper's table/grid text.  The grid-shaped experiment drivers
-(:mod:`repro.experiments.figure7` and friends) are thin wrappers over
-these declarations, and ``repro study run <id>`` executes them directly.
-
-Builders import driver constants lazily so listing the registry stays
-import-cheap.
+the paper's table/grid text, plus the paper data those read.  ``repro
+study run <id>`` and ``repro run <id>`` both execute them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.outcomes import Outcome, RunRecord
+from repro.errors import ConfigError
 from repro.study.resultset import ResultSet
 from repro.study.spec import ModelSpec, ScenarioSpec, StudySpec, TargetSpec
 
@@ -23,27 +21,52 @@ from repro.study.spec import ModelSpec, ScenarioSpec, StudySpec, TargetSpec
 FIGURE7_APPS: Tuple[Tuple[str, str], ...] = (
     ("NYX", "nyx"), ("QMC", "qmcpack"), ("MT", "montage"))
 
+FAULT_MODELS = ("BF", "SW", "DW")
+MONTAGE_STAGES = ("mProjExec", "mDiffExec", "mBgExec", "mAdd")
+
+#: Paper Fig. 7 rates for the headline cells (approximate reads of the
+#: stacked bars and the surrounding text), for side-by-side reporting.
+PAPER_NOTES = {
+    "NYX-BF": "91.1% benign, 0.8% SDC",
+    "NYX-SW": "100% benign",
+    "NYX-DW": "100% SDC",
+    "QMC-BF": "~60% SDC, ~37% benign",
+    "QMC-SW": "54% SDC, no detected",
+    "QMC-DW": "8% SDC, 43% detected, 12% crash",
+    "MT1-BF": "12.8% SDC", "MT2-BF": "8% SDC", "MT3-BF": "9% SDC", "MT4-BF": "6.8% SDC",
+    "MT1-SW": "56.6% SDC", "MT2-SW": "40% SDC", "MT3-SW": "52.5% SDC", "MT4-SW": "48.5% SDC",
+    "MT1-DW": "83.5% SDC", "MT2-DW": "37.3% SDC", "MT3-DW": "98.3% SDC", "MT4-DW": "50.4% SDC",
+}
+
+#: Faults per run swept by the multifault grid; k=1 is the paper's baseline.
+K_VALUES = (1, 2, 4, 8)
+
+#: Table III's paper rates: SDC 4 (0.2 %), benign 2085 (85.7 %), crash
+#: 343 (14.1 %) of 2,432 per-byte cases.
+PAPER_RATES = {Outcome.SDC: 0.002, Outcome.BENIGN: 0.857, Outcome.CRASH: 0.141}
+
 
 def figure7_spec(n_runs: Optional[int] = None, seed: int = 1,
-                 include_montage_stages: bool = True,
                  app_labels: Optional[Iterable[str]] = None) -> StudySpec:
     """The Fig. 7 characterization grid as a spec.
 
-    Cell keys and enumeration order match the paper driver exactly
+    Cell keys and enumeration order match the pre-study driver exactly
     (model-major: ``NYX-BF``, ``QMC-BF``, ``MT1-BF``..``MT4-BF``,
     then SW, then DW), which is what keeps its checkpoints
-    byte-identical across the declarative rewrite.
+    byte-identical across the declarative rewrite.  ``app_labels``
+    keeps a subset of the application axis (``NYX``, ``QMC``, ``MT``).
     """
-    from repro.experiments.figure7 import FAULT_MODELS, MONTAGE_STAGES
-
+    labels = {label for label, _ in FIGURE7_APPS}
     wanted = None if app_labels is None else set(app_labels)
+    if wanted is not None and not wanted <= labels:
+        raise ConfigError(
+            f"unknown figure7 app labels {sorted(wanted - labels)}; "
+            f"the grid's labels are {sorted(labels)}")
     targets = []
     for label, app_id in FIGURE7_APPS:
         if wanted is not None and label not in wanted:
             continue
         if label == "MT":
-            if not include_montage_stages:
-                continue
             targets.extend(
                 TargetSpec(app=app_id, label=f"MT{i}", phase=stage)
                 for i, stage in enumerate(MONTAGE_STAGES, start=1))
@@ -67,8 +90,6 @@ def multifault_spec(n_runs: Optional[int] = None, seed: int = 1,
     ``apps`` overrides the application axis as ``(label, app-id)``
     pairs (default: the paper's three workloads).
     """
-    from repro.experiments.multifault import K_VALUES
-
     ks = tuple(K_VALUES if k_values is None else k_values)
     pairs = tuple(FIGURE7_APPS if apps is None else apps)
     return StudySpec(
@@ -109,7 +130,6 @@ def table4_spec(seed: int = 0) -> StudySpec:
 
 def _render_figure7(results: ResultSet) -> str:
     from repro.analysis.tables import render_outcome_grid, render_table
-    from repro.experiments.figure7 import PAPER_NOTES
 
     grid = render_outcome_grid(results.tallies(),
                                title="Figure 7: I/O fault characterization")
@@ -141,10 +161,37 @@ def _render_multifault(results: ResultSet) -> str:
     return grid + "\n" + table
 
 
-def _render_table3(results: ResultSet) -> str:
-    from repro.experiments.table3 import render_table3_records
+def field_examples(records: Iterable[RunRecord]) -> Dict[Outcome, List[str]]:
+    """Distinct short field names per outcome, in frequency order (the
+    per-field container prefixes stripped for compact reporting)."""
+    buckets: Dict[Outcome, Dict[str, int]] = {o: {} for o in Outcome}
+    for record in records:
+        name = (record.field_name or "?").split(".")[-1]
+        counts = buckets[record.outcome]
+        counts[name] = counts.get(name, 0) + 1
+    return {o: [name for name, _ in
+                sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+            for o, counts in buckets.items()}
 
-    return render_table3_records(results.records())
+
+def _render_table3(results: ResultSet) -> str:
+    from repro.analysis.tables import render_table
+
+    tally = results.tally()
+    examples = field_examples(results.records())
+    rows = []
+    for outcome in (Outcome.SDC, Outcome.BENIGN, Outcome.CRASH,
+                    Outcome.DETECTED):
+        shown = ", ".join(examples.get(outcome, [])[:4]) or "-"
+        paper = PAPER_RATES.get(outcome)
+        paper_text = f"{100 * paper:.1f}%" if paper is not None else "n/a"
+        rows.append([outcome.value,
+                     f"{tally.counts[outcome]} "
+                     f"({100 * tally.rate(outcome):.1f}%)",
+                     paper_text, shown])
+    return render_table(
+        ["Fault type", "measured cases", "paper", "example metadata fields"],
+        rows, title="Table III: output classification of faulty metadata")
 
 
 def _render_table4(results: ResultSet) -> str:

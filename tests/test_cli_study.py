@@ -1,5 +1,7 @@
 """The ``repro study`` subcommand and the lazy experiment registry."""
 
+import filecmp
+import inspect
 import io
 import subprocess
 import sys
@@ -21,36 +23,44 @@ def run_cli(*argv):
 class TestLazyRegistry:
     def test_registry_import_does_not_import_drivers(self):
         """The satellite contract: listing experiments (or `repro
-        --version`) must not pay the ten-driver import cost."""
+        --version`) must not pay for a driver module, the study
+        registry, or numpy."""
         code = (
             "import sys\n"
             "import repro.cli\n"
             "from repro.experiments.registry import EXPERIMENTS\n"
             "assert len(EXPERIMENTS) == 10\n"
             "heavy = [m for m in sys.modules if m in ("
-            "'repro.experiments.figure7', 'repro.experiments.table3', "
-            "'repro.experiments.multifault', 'numpy')]\n"
+            "'numpy', 'repro.study.registry') or ("
+            "m.startswith('repro.experiments.') "
+            "and m != 'repro.experiments.registry')]\n"
             "assert not heavy, heavy\n")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={"PYTHONPATH": "src"}, cwd=".")
 
     def test_driver_resolves_lazily(self):
-        from repro.experiments.multifault import run_multifault
+        from repro.experiments.table1 import run_table1
 
-        exp = EXPERIMENTS["multifault"]
-        assert exp.resolve() is run_multifault
-        assert exp.driver is run_multifault
+        assert EXPERIMENTS["table1"].resolve() is run_table1
 
     def test_every_registered_driver_resolves(self):
+        from repro.study import STUDIES
+
         for exp in EXPERIMENTS.values():
-            assert callable(exp.resolve()), exp.id
+            if exp.study:
+                assert exp.study in STUDIES, exp.id
+            else:
+                assert callable(exp.resolve()), exp.id
 
     def test_knob_declarations(self):
-        assert get_experiment("figure7").accepts("results_path")
-        assert get_experiment("table3").accepts("resume")
-        assert not get_experiment("table1").accepts("results_path")
+        """--out/--resume apply to exactly the experiments that run a
+        registered study; no bespoke driver takes an engine knob."""
+        assert {exp.id for exp in EXPERIMENTS.values() if exp.study} == {
+            "figure7", "multifault", "table3"}
         for exp in EXPERIMENTS.values():
-            assert exp.accepts("workers")
+            if not exp.study:
+                params = inspect.signature(exp.resolve()).parameters
+                assert not {"workers", "results_path", "resume"} & set(params)
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
@@ -121,6 +131,29 @@ class TestStudyCli:
         monkeypatch.setitem(study_apps._FACTORIES, "qmcpack", other_nyx)
         monkeypatch.setitem(study_apps._FACTORIES, "montage", fixture_montage)
         monkeypatch.setenv("REPRO_FI_RUNS", "2")
+
+    def test_run_grid_experiment_is_the_registered_study(
+            self, tiny_app_registry, tmp_path):
+        """`repro run figure7` executes the registered study: the same
+        checkpoint bytes and report as `repro study run figure7`, under
+        its own header and without the study footer."""
+        run_out = str(tmp_path / "run.jsonl")
+        study_out = str(tmp_path / "study.jsonl")
+        code, text = run_cli("run", "figure7", "--out", run_out)
+        assert code == 0
+        _, study_text = run_cli("study", "run", "figure7", "--out", study_out)
+        assert filecmp.cmp(run_out, study_out, shallow=False)
+        header, report = text.split("\n", 1)
+        assert header == ("running figure7: Characterization grid "
+                          "(apps x fault models)")
+        assert "Figure 7: I/O fault characterization" in report
+        assert "study:" not in text
+        assert study_text.startswith(report)
+        assert study_text[len(report):].startswith("study: 18 cells")
+        # --resume on the complete checkpoint leaves it byte-identical.
+        code, _ = run_cli("run", "figure7", "--out", run_out, "--resume")
+        assert code == 0
+        assert filecmp.cmp(run_out, study_out, shallow=False)
 
     def test_run_registered_study_renders_report(self, tiny_app_registry):
         code, text = run_cli("study", "run", "figure7")

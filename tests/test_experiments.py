@@ -7,19 +7,21 @@ them at reporting scale.
 import numpy as np
 import pytest
 
+from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.outcomes import Outcome
 from repro.experiments import (
     EXPERIMENTS,
     get_experiment,
     run_figure5,
     run_figure6,
-    run_figure7_cell,
     run_figure8,
+    run_figure9,
     run_table1,
-    run_table3,
     run_table4,
 )
 from repro.experiments.params import default_runs, nyx_small
+from repro.study import Study, get_study
 
 
 class TestRegistry:
@@ -64,11 +66,12 @@ class TestTable1:
 
 class TestTable3:
     def test_strided_sweep_shape(self):
-        result = run_table3(byte_stride=16)
-        tally = result.campaign.tally
+        table3 = get_study("table3")
+        results = Study(table3.build(byte_stride=16)).run()
+        tally = results.tally()
         assert tally.rate(Outcome.BENIGN) > 0.6
         assert tally.rate(Outcome.CRASH) > 0.02
-        assert "Table III" in result.render()
+        assert "Table III" in table3.render(results)
 
 
 class TestTable4:
@@ -112,11 +115,26 @@ class TestFigures:
         assert result.faulty_candidates != result.golden_candidates
 
     def test_figure7_cell_nyx_dw(self, tiny_nyx):
-        cell = run_figure7_cell(tiny_nyx, "DW", n_runs=12, seed=4)
+        cell = Campaign(tiny_nyx, CampaignConfig(fault_model="DW", n_runs=12,
+                                                 seed=4)).run()
         assert cell.tally.total == 12
         # Data-write drops are SDC; metadata/flag drops crash -- nothing
         # else can appear at this scale.
         assert cell.rate(Outcome.SDC) + cell.rate(Outcome.CRASH) == 1.0
+
+    def test_figure9_pays_for_one_fault_free_run(self, monkeypatch):
+        """The golden capture doubles as the write profile: no separate
+        IOProfiler execution of Montage."""
+        from repro.core.profiler import IOProfiler
+        from tests.test_study_run import fixture_montage
+
+        def second_fault_free_run(*args, **kwargs):
+            raise AssertionError("figure9 profiled Montage in its own run")
+
+        monkeypatch.setattr(IOProfiler, "profile", second_fault_free_run)
+        result = run_figure9(fixture_montage())
+        assert result.outcome is Outcome.DETECTED
+        assert result.dark_pixels > 0
 
     def test_figure8_histograms_share_bins(self):
         result = run_figure8(nyx_small(), max_tries=16)

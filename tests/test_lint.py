@@ -1097,24 +1097,41 @@ class TestAutofix:
 # -- the meta-test: the committed tree is clean, with zero 3p imports -----------
 
 
-BLOCKER = """
+#: A ``python -c`` prelude: a meta-path finder that refuses every import
+#: of a top-level package in ``BANNED`` and records each attempt, so an
+#: ImportError the code under test catches still fails the check.  It
+#: implements ``find_spec``; Python 3.12 no longer calls ``find_module``.
+IMPORT_BLOCKER = """
 import sys
 
 class _Blocker:
-    banned = {"numpy", "scipy", "pytest", "hypothesis", "tomli",
-              "pandas", "matplotlib"}
+    attempts = []
 
-    def find_module(self, name, path=None):
-        if name.split(".")[0] in self.banned:
-            raise ImportError("third-party import in repro lint: " + name)
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in BANNED:
+            self.attempts.append(name)
+            raise ImportError("blocked import: " + name)
         return None
 
-sys.meta_path.insert(0, _Blocker())
-sys.path.insert(0, "@SRC@")
+blocker = _Blocker()
+sys.meta_path.insert(0, blocker)
+"""
 
+
+def blocked_script(banned, body: str) -> str:
+    """*body* as a ``python -c`` script that imports ``src/``'s repro
+    with the *banned* top-level packages blocked."""
+    src = os.path.join(REPO_ROOT, "src")
+    return (f"BANNED = {sorted(banned)!r}\n" + IMPORT_BLOCKER
+            + f"sys.path.insert(0, {src!r})\n" + body)
+
+
+LINT_ONLY = """
 from repro.cli import main
 
-raise SystemExit(main(["lint"]))
+code = main(["lint"])
+assert not blocker.attempts, blocker.attempts
+raise SystemExit(code)
 """
 
 
@@ -1122,7 +1139,9 @@ class TestCommittedTree:
     def test_repro_lint_is_clean_and_dependency_free(self):
         """`repro lint` exits 0 on the committed tree without importing
         any third-party package (the CI step runs before pip install)."""
-        script = BLOCKER.replace("@SRC@", os.path.join(REPO_ROOT, "src"))
+        script = blocked_script(
+            ("numpy", "scipy", "pytest", "hypothesis", "tomli", "pandas",
+             "matplotlib"), LINT_ONLY)
         proc = subprocess.run(
             [sys.executable, "-c", script], cwd=REPO_ROOT,
             capture_output=True, text=True, timeout=120)

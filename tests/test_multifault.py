@@ -1,6 +1,6 @@
-"""Tests for the multifault driver (outcome rates vs fault count k).
+"""Tests for the multifault study (outcome rates vs fault count k).
 
-The driver is a fused sweep like figure7: per-app fault-free work runs
+The study is a fused sweep like figure7: per-app fault-free work runs
 once across all k cells, the k=1 cell is the legacy single-fault
 baseline (bit-identical to a solo campaign), and the whole grid
 checkpoints to one multiplexed JSONL file with kill/resume.
@@ -13,11 +13,10 @@ from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.engine import load_records_by_campaign
 from repro.core.outcomes import Outcome, RunRecord
-from repro.experiments.multifault import run_multifault
 from repro.experiments.registry import EXPERIMENTS
 from repro.fusefs.vfs import FFISFileSystem
 from repro.study import Study
-from repro.study.registry import multifault_spec
+from repro.study.registry import get_study, multifault_spec
 
 from tests.test_scenario_determinism import ToyApp
 
@@ -33,19 +32,20 @@ class CountingFsFactory:
         return FFISFileSystem()
 
 
-def tiny_grid(**kwargs):
-    return run_multifault(n_runs=3, seed=6, fault_model="DW",
-                          k_values=K_VALUES,
-                          apps={"TOY": ToyApp(), "ALT": ToyApp(payload_seed=9)},
-                          **kwargs)
+def tiny_grid(fs_factory=FFISFileSystem, **knobs):
+    spec = multifault_spec(n_runs=3, seed=6, fault_model="DW",
+                           k_values=K_VALUES,
+                           apps=(("TOY", "TOY"), ("ALT", "ALT")))
+    return Study(spec, apps={"TOY": ToyApp(), "ALT": ToyApp(payload_seed=9)},
+                 fs_factory=fs_factory).run(**knobs)
 
 
 class TestMultifaultDriver:
     def test_grid_shape_and_shared_fault_free_work(self):
         factory = CountingFsFactory()
         result = tiny_grid(fs_factory=factory)
-        assert set(result.cells) == {f"{app}-k{k}" for app in ("TOY", "ALT")
-                                     for k in K_VALUES}
+        assert set(result.keys()) == {f"{app}-k{k}" for app in ("TOY", "ALT")
+                                      for k in K_VALUES}
         # 2 apps x 1 golden capture (the profile is derived from it,
         # not re-executed) + 6 cells x 3 runs.
         assert factory.count == 2 * 1 + 6 * 3
@@ -55,15 +55,15 @@ class TestMultifaultDriver:
         result = tiny_grid()
         solo = Campaign(ToyApp(), CampaignConfig(
             fault_model="DW", n_runs=3, seed=6)).run()
-        assert result.cells["TOY-k1"].records == solo.records
+        assert result.cell("TOY-k1") == solo.records
 
     def test_higher_k_cells_are_scenario_stamped(self):
         result = tiny_grid()
-        for record in result.cells["TOY-k4"].records:
+        for record in result.cell("TOY-k4"):
             assert record.scenario == "k=4"
             assert 1 <= len(record.instances) <= 4
-        assert result.cells["TOY-k4"].scenario == "k=4"
-        assert result.cells["TOY-k1"].scenario is None
+        assert result.info["TOY-k4"].scenario == "k=4"
+        assert result.info["TOY-k1"].scenario is None
 
     def test_kill_resume_round_trip(self, tmp_path):
         """The acceptance-criterion path: kill the fused sweep mid-grid,
@@ -85,15 +85,14 @@ class TestMultifaultDriver:
                    load_records_by_campaign(path).values()) == 8
 
         resumed = tiny_grid(results_path=path, resume=True)
-        for label, cell in uninterrupted.cells.items():
-            assert resumed.cells[label].records == cell.records
+        for label in uninterrupted.keys():
+            assert resumed.cell(label) == uninterrupted.cell(label)
         groups = load_records_by_campaign(path)
         assert len(groups) == 6
         assert all(len(records) == 3 for records in groups.values())
 
     def test_render_includes_curves(self):
-        result = tiny_grid()
-        text = result.render()
+        text = get_study("multifault").render(tiny_grid())
         assert "SDC rate vs fault count" in text
         assert "SDC @ k=4" in text
         assert "TOY-k2" in text
@@ -109,10 +108,10 @@ class TestMultifaultDriver:
         assert list(campaigns) == ["TOY-k1", "TOY-k2", "TOY-k4"]
 
     def test_registered_experiment(self):
+        """`repro run multifault` runs the registered multifault study."""
         exp = EXPERIMENTS["multifault"]
-        assert exp.driver is run_multifault
-        import inspect
-        assert "results_path" in inspect.signature(exp.driver).parameters
+        assert exp.study == "multifault"
+        assert get_study(exp.study).build is multifault_spec
 
 
 class TestPerKStats:

@@ -29,6 +29,8 @@ from repro.apps.nyx.field import (
 )
 from repro.util.rngstream import RngStream
 
+from tests.test_lint import blocked_script
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # -- the scipy reference -------------------------------------------------------
@@ -127,21 +129,6 @@ class TestAllocation:
 
 
 NO_SCIPY = """
-import sys
-
-class _NoScipy:
-    attempts = []
-
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            self.attempts.append(name)
-            raise ImportError("scipy imported at runtime: " + name)
-        return None
-
-blocker = _NoScipy()
-sys.meta_path.insert(0, blocker)
-sys.path.insert(0, "@SRC@")
-
 import repro
 import repro.cli
 from repro.apps.montage import MontageApplication, SkyConfig
@@ -178,7 +165,7 @@ def test_no_scipy_module_loads_at_runtime():
     """Importing the package and CLI, and building and golden-capturing
     every registered application, never imports scipy (a caught
     ImportError would still be recorded as an attempt)."""
-    script = NO_SCIPY.replace("@SRC@", os.path.join(REPO_ROOT, "src"))
+    script = blocked_script(("scipy",), NO_SCIPY)
     proc = subprocess.run(
         [sys.executable, "-c", script], cwd=REPO_ROOT,
         capture_output=True, text=True, timeout=120)

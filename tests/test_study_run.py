@@ -23,9 +23,6 @@ import pytest
 from repro.apps.montage import MontageApplication, SkyConfig
 from repro.apps.nyx import FieldConfig, NyxApplication
 from repro.errors import ConfigError
-from repro.experiments.figure7 import run_figure7
-from repro.experiments.multifault import run_multifault
-from repro.experiments.table3 import run_table3
 from repro.study import Study, StudySpec
 from repro.study.registry import (
     figure7_spec,
@@ -65,22 +62,14 @@ class TestGoldenFixtures:
             self, tmp_path):
         spec = figure7_spec(n_runs=2, seed=4, app_labels=("NYX", "MT"))
         path = str(tmp_path / "figure7.jsonl")
-        Study(spec, apps={"nyx": fixture_nyx(),
-                          "montage": fixture_montage()}) \
+        results = Study(spec, apps={"nyx": fixture_nyx(),
+                                    "montage": fixture_montage()}) \
             .run(results_path=path)
-        assert filecmp.cmp(FIGURE7_FIXTURE, path, shallow=False)
-
-    def test_figure7_driver_checkpoint_matches_fixture(self, tmp_path):
-        path = str(tmp_path / "figure7.jsonl")
-        result = run_figure7(n_runs=2, seed=4,
-                             apps={"NYX": fixture_nyx(),
-                                   "MT": fixture_montage()},
-                             results_path=path)
         assert filecmp.cmp(FIGURE7_FIXTURE, path, shallow=False)
         # 15 cells (NYX + MT1..4 across BF/SW/DW), one fault-free
         # golden capture per app (profiles are derived from it).
-        assert len(result.cells) == 15
-        assert result.fault_free_runs == 2
+        assert len(results.keys()) == 15
+        assert results.fault_free_runs == 2
 
     def test_multifault_study_checkpoint_matches_fixture(self, tmp_path):
         spec = multifault_spec(n_runs=3, seed=6, fault_model="DW",
@@ -89,17 +78,6 @@ class TestGoldenFixtures:
         path = str(tmp_path / "multifault.jsonl")
         Study(spec, apps=toy_apps()).run(results_path=path)
         assert filecmp.cmp(MULTIFAULT_FIXTURE, path, shallow=False)
-
-    def test_multifault_driver_checkpoint_matches_fixture(self, tmp_path):
-        path = str(tmp_path / "multifault.jsonl")
-        run_multifault(n_runs=3, seed=6, fault_model="DW", k_values=(1, 2, 4),
-                       apps=toy_apps(), results_path=path)
-        assert filecmp.cmp(MULTIFAULT_FIXTURE, path, shallow=False)
-
-    def test_table3_driver_checkpoint_matches_fixture(self, tmp_path):
-        path = str(tmp_path / "table3.jsonl")
-        run_table3(byte_stride=128, seed=0, results_path=path)
-        assert filecmp.cmp(TABLE3_FIXTURE, path, shallow=False)
 
     def test_table3_registered_study_matches_fixture(self, tmp_path):
         definition = get_study("table3")
@@ -218,9 +196,9 @@ class TestStudyExecution:
             Study(spec).plan()
 
     def test_figure7_unknown_apps_label_is_config_error(self):
-        with pytest.raises(ConfigError, match="unknown figure7 app labels"):
-            run_figure7(n_runs=1, apps={"NYX": fixture_nyx(),
-                                        "CUSTOM": fixture_nyx()})
+        with pytest.raises(ConfigError,
+                           match=r"unknown figure7 app labels \['CUSTOM'\]"):
+            figure7_spec(n_runs=1, app_labels=("NYX", "CUSTOM"))
 
     def test_describe_lists_cells(self):
         spec = multifault_spec(n_runs=2, seed=6, fault_model="DW",

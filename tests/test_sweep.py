@@ -30,8 +30,9 @@ from repro.core.engine import (
 from repro.core.metadata_campaign import MetadataCampaign
 from repro.core.outcomes import Outcome, RunRecord
 from repro.errors import FFISError
-from repro.experiments.figure7 import run_figure7
 from repro.fusefs.vfs import FFISFileSystem
+from repro.study import Study
+from repro.study.registry import figure7_spec
 
 
 class CountingFsFactory:
@@ -55,10 +56,11 @@ def other_nyx() -> NyxApplication:
         halo_radius=(0.6, 0.8)), min_cells=3)
 
 
-def two_app_grid(tiny_nyx, other_nyx, **kwargs):
+def two_app_grid(tiny_nyx, other_nyx, fs_factory=FFISFileSystem, **knobs):
     """A 6-cell fused figure7 grid over two distinct app configurations."""
-    return run_figure7(n_runs=3, seed=4,
-                       apps={"NYX": tiny_nyx, "QMC": other_nyx}, **kwargs)
+    spec = figure7_spec(n_runs=3, seed=4, app_labels=("NYX", "QMC"))
+    return Study(spec, apps={"nyx": tiny_nyx, "qmcpack": other_nyx},
+                 fs_factory=fs_factory).run(**knobs)
 
 
 class TestSharedFaultFreeWork:
@@ -66,8 +68,8 @@ class TestSharedFaultFreeWork:
             self, tiny_nyx, other_nyx):
         factory = CountingFsFactory()
         result = two_app_grid(tiny_nyx, other_nyx, fs_factory=factory)
-        assert set(result.cells) == {"NYX-BF", "NYX-SW", "NYX-DW",
-                                     "QMC-BF", "QMC-SW", "QMC-DW"}
+        assert set(result.keys()) == {"NYX-BF", "NYX-SW", "NYX-DW",
+                                      "QMC-BF", "QMC-SW", "QMC-DW"}
         # 2 apps x 1 golden capture (each cell's profile is derived from
         # it, not re-executed) + 6 cells x 3 injection runs: were any
         # cell re-captured or separately profiled, the count would rise.
@@ -80,7 +82,7 @@ class TestSharedFaultFreeWork:
             for fm in ("BF", "SW", "DW"):
                 solo = Campaign(app, CampaignConfig(
                     fault_model=fm, n_runs=3, seed=4)).run()
-                assert fused.cells[f"{prefix}-{fm}"].records == solo.records
+                assert fused.cell(f"{prefix}-{fm}") == solo.records
 
     def test_metadata_cells_share_one_locate(self, tiny_nyx):
         factory = CountingFsFactory()
@@ -139,8 +141,8 @@ class TestMultiplexedCheckpoint:
                                progress=lambda i, n: seen.append((i, n)))
         # Only the 11 missing (cell, run) pairs execute, counted from 8/18.
         assert seen == [(i, 18) for i in range(8, 19)]
-        for label, cell in uninterrupted.cells.items():
-            assert resumed.cells[label].records == cell.records
+        for label in uninterrupted.keys():
+            assert resumed.cell(label) == uninterrupted.cell(label)
         # The checkpoint itself now holds the full grid, re-loadable
         # per cell.
         groups = load_records_by_campaign(path)
@@ -258,8 +260,8 @@ class TestParallelSweep:
     def test_parallel_fused_sweep_matches_serial(self, tiny_nyx, other_nyx):
         serial = two_app_grid(tiny_nyx, other_nyx)
         parallel = two_app_grid(tiny_nyx, other_nyx, workers=2)
-        for label, cell in serial.cells.items():
-            assert parallel.cells[label].records == cell.records
+        for label in serial.keys():
+            assert parallel.cell(label) == serial.cell(label)
 
 
 class TestSweepCli:

@@ -4,7 +4,8 @@ Each entry pairs a :class:`~repro.study.spec.StudySpec` builder (pure
 data, environment-scaled when ``runs`` is left ``None``) with a render
 function from the uniform :class:`~repro.study.resultset.ResultSet` to
 the paper's table/grid text, plus the paper data those read.  ``repro
-study run <id>`` and ``repro run <id>`` both execute them.
+study run <id>`` executes them; ``repro run`` does too for ``figure7``,
+``multifault`` and ``table3``.
 """
 
 from __future__ import annotations

@@ -27,9 +27,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.apps.base import GoldenRecord, HpcApplication, RunStep
-from repro.apps.qmcpack.dmc import DmcParams, run_dmc
+from repro.apps.qmcpack.dmc import DmcParams, Mark, Trajectory, run_dmc
 from repro.apps.qmcpack.qmca import EnergyEstimate, analyze_file
-from repro.apps.qmcpack.scalars import ScalarRow, write_scalars
+from repro.apps.qmcpack.scalars import write_scalars
 from repro.apps.qmcpack.vmc import VmcParams, run_vmc
 from repro.apps.qmcpack.wavefunction import HeliumWavefunction
 from repro.core.outcomes import Outcome
@@ -68,12 +68,17 @@ class QmcpackApplication(HpcApplication):
     walker array.  The instance therefore keeps the first projection it
     computes -- the golden capture's -- keyed by the exact ``(shape,
     dtype, bytes)`` of its walkers, and a replayed run whose walker file
-    still decodes to exactly those walkers reuses it.  Forked pool and
-    fleet workers inherit the entry with the instance.  Like prefix
-    replay, the reuse stands on golden work, so cold execution
-    (:meth:`execute`, which ``--no-replay`` forces) always projects: it
-    stays the from-scratch reference replayed records are checked
-    against.
+    still decodes to exactly those walkers reuses it.  The entry is that
+    projection's :class:`~repro.apps.qmcpack.dmc.Trajectory`: its rows,
+    its final walkers and one 40-byte mark per block.  A replayed run
+    whose walkers differ projects while following it, and stops at the
+    first block end where its state equals golden's, taking golden's
+    later rows (see :mod:`repro.apps.qmcpack.dmc` for why that is
+    exact).  Forked pool and fleet workers inherit the entry with the
+    instance.  Like prefix replay, the reuse stands on golden work, so
+    cold execution (:meth:`execute`, which ``--no-replay`` forces)
+    always projects to the end without following: it stays the
+    from-scratch reference replayed records are checked against.
     """
 
     name = "qmcpack"
@@ -94,8 +99,8 @@ class QmcpackApplication(HpcApplication):
         # computed once (the per-run cost is DMC only).
         vmc_rng = RngStream(seed, "qmcpack", "vmc").generator()
         self._vmc_walkers, self._vmc_rows = run_vmc(self.wf, vmc_params, vmc_rng)
-        # (walker key, DMC rows) of the first projection; see the class doc.
-        self._dmc_memo: Optional[Tuple[_WalkerKey, Tuple[ScalarRow, ...]]] = None
+        # (walker key, trajectory) of the first projection; see the class doc.
+        self._dmc_memo: Optional[Tuple[_WalkerKey, Trajectory]] = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -130,20 +135,28 @@ class QmcpackApplication(HpcApplication):
         """Read the walker file back and project it.
 
         The read always happens, so file-system operations and decode
-        failures are those of a fresh projection; only a replayed run
-        whose walkers equal the stored entry's skips the DMC loop,
-        taking copies of its rows.
+        failures are those of a fresh projection.  A replayed run whose
+        walkers equal the stored entry's skips the DMC loop, taking
+        copies of its rows; any other replayed run follows the entry's
+        trajectory and stops where it rejoins it.  The first projection,
+        the golden capture's, records the entry; cold runs never read
+        it.
         """
         walkers = Hdf5Reader(mp, CONFIG_FILE).read(WALKER_DATASET)
         key = (walkers.shape, walkers.dtype, walkers.tobytes())
-        if self._replaying and self._dmc_memo is not None \
-                and self._dmc_memo[0] == key:
-            carry["dmc_rows"] = [replace(row) for row in self._dmc_memo[1]]
-            return
+        memo = self._dmc_memo
+        follow = None
+        if self._replaying and memo is not None:
+            if memo[0] == key:
+                carry["dmc_rows"] = [replace(row) for row in memo[1].rows]
+                return
+            follow = memo[1]
+        marks: Optional[List[Mark]] = [] if memo is None else None
         dmc_rng = RngStream(self.seed, "qmcpack", "dmc").generator()
-        _, rows = run_dmc(self.wf, walkers, self.dmc_params, dmc_rng)
-        if self._dmc_memo is None:
-            self._dmc_memo = (key, tuple(rows))
+        final, rows = run_dmc(self.wf, walkers, self.dmc_params, dmc_rng,
+                              follow=follow, marks=marks)
+        if marks is not None:
+            self._dmc_memo = (key, Trajectory(final, tuple(rows), tuple(marks)))
         carry["dmc_rows"] = rows
 
     def _step_dmc_write(self, mp: MountPoint, carry) -> None:

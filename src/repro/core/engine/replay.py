@@ -21,8 +21,9 @@ run.  This module exploits the equivalence in both directions:
   re-executing it.  Fault-point awareness is exactly this check: a QMC
   fault confined to ``He.s000.scalar.dat`` never re-runs the DMC
   projection, while one that corrupted the walker file does, unless it
-  still decodes to the golden walkers (likewise, a Montage fault in one
-  difference image refits that image alone).
+  still decodes to the golden walkers, and stops at the first block end
+  where its projection rejoins the golden trajectory (likewise, a
+  Montage fault in one difference image refits that image alone).
 
 Safety is conservative and checked per run, per boundary:
 

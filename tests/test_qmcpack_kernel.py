@@ -6,13 +6,16 @@ per DMC step: ``log_psi``, ``quantum_force`` and ``local_energy`` each
 measured the distances again).  It is kept verbatim, apart from names,
 so the fused kernel is checked against the code whose outputs the
 committed fixtures pin: walker bytes and the ``repr`` of every scalar
-row must be equal, and corrupted restarts must fail the same way.
+row must be equal, and corrupted restarts must fail the same way.  A
+projection that follows a recorded trajectory and stops where it rejoins
+it must equal the reference too.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Tuple
 
 import numpy as np
@@ -23,6 +26,7 @@ from repro.apps.qmcpack.dmc import (
     WEIGHT_CLIP,
     DmcParams,
     PopulationCollapse,
+    Trajectory,
     run_dmc,
 )
 from repro.apps.qmcpack.scalars import ScalarRow
@@ -426,3 +430,124 @@ def test_production_size_matches_reference():
             want = outcome(reference_run_dmc, REF, walkers, DmcParams(),
                            dmc_rng(APP_SEED))
         assert got == want
+
+
+# -- following a recorded trajectory -------------------------------------------
+
+
+@dataclass(frozen=True)
+class CountingWavefunction(HeliumWavefunction):
+    """The kernel, counting its calls: a projection that runs to the end
+    evaluates ``1 + n_blocks * steps_per_block`` walker sets."""
+
+    calls: List[int] = field(default_factory=list, compare=False, repr=False)
+
+    def evaluate_into(self, *args) -> None:
+        self.calls.append(1)
+        super().evaluate_into(*args)
+
+
+def full_calls(params: DmcParams) -> int:
+    return 1 + params.n_blocks * params.steps_per_block
+
+
+def record(walkers: np.ndarray, params: DmcParams,
+           rng: np.random.Generator) -> Trajectory:
+    marks: list = []
+    final, rows = run_dmc(WF, walkers, params, rng, marks=marks)
+    return Trajectory(final, tuple(rows), tuple(marks))
+
+
+def single_bit_flips(walkers: np.ndarray, seed: int,
+                     per_class: int) -> List[np.ndarray]:
+    """*per_class* seeded flips each of a sign, an exponent and a
+    mantissa bit, one bit of one coordinate per set."""
+    rng = RngStream(seed, "kernel", "single-flips").generator()
+    sets = []
+    for lo, hi in ((63, 64), (52, 63), (0, 52)):
+        for _ in range(per_class):
+            walker_set = walkers.copy()
+            raw = walker_set.reshape(-1).view(np.uint64)
+            raw[rng.integers(raw.size)] ^= \
+                np.uint64(1) << np.uint64(rng.integers(lo, hi))
+            sets.append(walker_set)
+    return sets
+
+
+def follow_sweep(golden: np.ndarray, params: DmcParams, seed: int,
+                 sets: List[np.ndarray]) -> Tuple[int, int]:
+    """Follow golden's trajectory from each set; every outcome must equal
+    the reference's.  Returns (runs that stopped early, runs that did not)."""
+    trajectory = record(golden, params, dmc_rng(seed))
+    stopped = ran_on = 0
+    for walkers in sets:
+        wf = CountingWavefunction()
+        with np.errstate(all="ignore"):
+            got = outcome(partial(run_dmc, follow=trajectory), wf, walkers,
+                          params, dmc_rng(seed))
+            want = outcome(reference_run_dmc, REF, walkers, params,
+                           dmc_rng(seed))
+        assert got == want
+        if len(wf.calls) < full_calls(params):
+            stopped += 1
+        else:
+            ran_on += 1
+    return stopped, ran_on
+
+
+def test_following_its_own_trajectory_stops_at_the_first_block():
+    golden = dict(SETS)["golden"]
+    wf = CountingWavefunction()
+    got = outcome(partial(run_dmc, follow=record(golden, DMC, dmc_rng())),
+                  wf, golden, DMC, dmc_rng())
+    assert len(wf.calls) == 1 + DMC.steps_per_block
+    assert got == outcome(reference_run_dmc, REF, golden, DMC, dmc_rng())
+
+
+def test_following_golden_matches_reference():
+    """Single-bit flips of the test-size golden walkers: some rejoin the
+    golden trajectory and stop early, some never do."""
+    golden = dict(SETS)["golden"]
+    stopped, ran_on = follow_sweep(golden, DMC, SEED,
+                                   single_bit_flips(golden, 1, 18))
+    assert stopped and ran_on
+
+
+@pytest.mark.parametrize("every,seed,per_class", [(3, 2, 6), (7, 5, 30)])
+def test_following_golden_checks_the_weights(every, seed, per_class):
+    """Reconfiguring every 3 or 7 steps leaves most block ends between
+    reconfigurations, so their weights are not all ones.  Two of the
+    second sweep's flips end a block on golden's state and ``e_trial``
+    but not on its weights: a mark that left them out would stop there."""
+    params = DmcParams(target_walkers=24, n_blocks=14, reconfigure_every=every)
+    golden = dict(SETS)["golden"]
+    stopped, ran_on = follow_sweep(golden, params, SEED,
+                                   single_bit_flips(golden, seed, per_class))
+    assert stopped and ran_on
+
+
+@pytest.mark.slow
+def test_following_golden_at_production_size():
+    golden, _ = reference_run_vmc(REF, VmcParams(), vmc_rng(APP_SEED))
+    stopped, ran_on = follow_sweep(golden, DmcParams(), APP_SEED,
+                                   single_bit_flips(golden, 3, 21))
+    assert stopped and ran_on
+
+
+def test_trajectory_of_another_walker_count_is_not_followed():
+    golden = dict(SETS)["golden"]
+    trajectory = record(golden[:12], DmcParams(target_walkers=12, n_blocks=14),
+                        dmc_rng())
+    for walkers in (golden, golden[:12].copy()):
+        wf = CountingWavefunction()
+        params = DmcParams(target_walkers=len(walkers), n_blocks=14)
+        if len(walkers) == 12:
+            # The same count, but its trajectory relabelled as another
+            # count's: the marks match and must still not be followed.
+            trajectory = Trajectory(golden[:6].copy(), trajectory.rows,
+                                    trajectory.marks)
+        got = outcome(partial(run_dmc, follow=trajectory), wf, walkers,
+                      params, dmc_rng())
+        assert len(wf.calls) == full_calls(params)
+        assert got == outcome(reference_run_dmc, REF, walkers, params,
+                              dmc_rng())

@@ -20,10 +20,12 @@ from repro.apps.qmcpack import QmcpackApplication
 from repro.apps.qmcpack.app import CONFIG_FILE, RUN_DIR, WALKER_DATASET
 from repro.apps.qmcpack.dmc import DmcParams
 from repro.apps.qmcpack.vmc import VmcParams
+from repro.apps.qmcpack.wavefunction import HeliumWavefunction
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.engine import RunSpec, execute_run_spec
 from repro.core.metadata_campaign import ByteCorruptionContext, MetadataCampaign
+from repro.core.outcomes import Outcome
 from repro.fusefs.mount import mount
 from repro.fusefs.vfs import FFISFileSystem
 from repro.mhdf5.api import File
@@ -204,6 +206,60 @@ class TestGoldenProjectionReuse:
         cold = flip_record(app, golden, meta, reserved.start, 0, replay=False)
         assert len(dmc_calls) == 5
         assert cold == reused
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        """One ``[follow, evaluations]`` entry per projection: the
+        trajectory it was given and the walker sets it evaluated."""
+        log, active = [], []
+        original = qmcpack_app.run_dmc
+        evaluate = HeliumWavefunction.evaluate_into
+
+        def counting(self, *args):
+            if active:
+                active[0][1] += 1
+            evaluate(self, *args)
+
+        def logging(*args, **kwargs):
+            entry = [kwargs.get("follow"), 0]
+            log.append(entry)
+            active.append(entry)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                active.clear()
+
+        monkeypatch.setattr(qmcpack_app, "run_dmc", logging)
+        monkeypatch.setattr(HeliumWavefunction, "evaluate_into", counting)
+        return log
+
+    def test_data_flip_that_rejoins_golden_stops_early(self, projections):
+        """The top exponent bit of a walker the population soon drops:
+        the replayed projection rejoins the golden trajectory at block 8
+        and takes its later rows and final walkers."""
+        app = small_qmcpack()
+        golden, writes, layout = self.capture(app)
+        params = app.dmc_params
+        full = 1 + params.n_blocks * params.steps_per_block
+        assert projections == [[None, full]]      # the golden projection
+        trajectory = app._dmc_memo[1]
+        assert len(trajectory.marks) == params.n_blocks
+        data_at = layout.plan.datasets[0].data_address
+        data = next(seqno for seqno, offset, _ in writes if offset == data_at)
+
+        replayed = flip_record(app, golden, data, 919, 6)
+        assert projections[-1] == [trajectory, 1 + 9 * params.steps_per_block]
+        assert replayed.fault_fired
+        assert replayed.outcome is Outcome.DETECTED
+        assert app._dmc_memo[1] is trajectory      # golden's stays
+
+        # An empty entry records the projection instead of following.
+        fresh = flip_record(small_qmcpack(), golden, data, 919, 6)
+        assert projections[-1] == [None, full]
+        # Cold execution is the reference: it never follows.
+        cold = flip_record(app, golden, data, 919, 6, replay=False)
+        assert projections[-1] == [None, full]
+        assert replayed == fresh == cold
 
 
 class TestGoldenPlaneFitReuse:

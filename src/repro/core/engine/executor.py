@@ -237,6 +237,7 @@ class ParallelExecutor(Executor):
                                    initargs=initargs)
         window = self.workers * self.IN_FLIGHT_PER_WORKER
         pending = deque()
+        drained = False
         try:
             for start in range(0, len(items), chunk):
                 stop = min(start + chunk, len(items))
@@ -245,12 +246,19 @@ class ParallelExecutor(Executor):
                     yield from pending.popleft().result()
             while pending:
                 yield from pending.popleft().result()
+            drained = True
         finally:
-            # An abandoned iteration (Ctrl-C, sink failure) must not
-            # block on -- or silently discard -- the not-yet-started
-            # runs: cancel them and return as soon as the in-flight
-            # ones finish.  Resume re-executes whatever was cancelled.
-            pool.shutdown(wait=False, cancel_futures=True)
+            if drained:
+                # Every run is back: wait for the workers to exit, so no
+                # pool thread outlives the map to write to the pool's
+                # closed wakeup pipe at interpreter exit.
+                pool.shutdown(wait=True)
+            else:
+                # An abandoned iteration (Ctrl-C, sink failure) must not
+                # block on -- or silently discard -- the not-yet-started
+                # runs: cancel them and return as soon as the in-flight
+                # ones finish.  Resume re-executes whatever was cancelled.
+                pool.shutdown(wait=False, cancel_futures=True)
             _FORK_REGISTRY.pop(token, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

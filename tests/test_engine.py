@@ -116,6 +116,7 @@ class _InstrumentedPool:
         self.outstanding = 0
         self.max_outstanding = 0
         self.submissions = 0
+        self.shutdowns = []
         _InstrumentedPool.last = self
 
     def submit(self, fn, *args):
@@ -125,7 +126,7 @@ class _InstrumentedPool:
         return _InstrumentedFuture(self, fn(*args))
 
     def shutdown(self, wait=True, cancel_futures=False):
-        pass
+        self.shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
 
 
 @pytest.fixture
@@ -174,6 +175,30 @@ class TestBoundedSubmission:
         assert {key for key, _ in results} == {"cell"}
         assert pool.max_outstanding <= \
             3 * ParallelExecutor.IN_FLIGHT_PER_WORKER
+
+
+@pytest.mark.usefixtures("instrumented_pool")
+class TestPoolShutdown:
+    """A drained pool is shut down waiting for its workers; an abandoned
+    iteration cancels the runs not yet started and returns at once."""
+
+    ITEMS = [("cell", RunSpec(run_index=i)) for i in range(40)]
+
+    def test_full_drain_waits(self):
+        records = list(ParallelExecutor(workers=2, chunk_size=4).map_tagged(
+            {"cell": None}, self.ITEMS))
+        assert len(records) == len(self.ITEMS)
+        assert _InstrumentedPool.last.shutdowns == [
+            {"wait": True, "cancel_futures": False}]
+
+    def test_closed_iteration_cancels(self):
+        stream = ParallelExecutor(workers=2, chunk_size=4).map_tagged(
+            {"cell": None}, self.ITEMS)
+        assert next(stream)[1].run_index == 0
+        assert _InstrumentedPool.last.shutdowns == []
+        stream.close()
+        assert _InstrumentedPool.last.shutdowns == [
+            {"wait": False, "cancel_futures": True}]
 
 
 @pytest.mark.usefixtures("instrumented_pool")

@@ -1,8 +1,7 @@
-"""Statistics, table rendering, and distribution comparison utilities."""
+"""Statistics, table rendering, and halo-mass distribution utilities."""
 
 from repro.analysis.distributions import (
     MassHistogram,
-    histogram_distance,
     mass_histogram,
 )
 from repro.analysis.projection import (
@@ -38,7 +37,6 @@ __all__ = [
     "render_outcome_grid",
     "render_table",
     "MassHistogram",
-    "histogram_distance",
     "mass_histogram",
     "DeviceModel",
     "FIELD_STUDY_UBER_RANGE",

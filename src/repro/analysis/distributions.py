@@ -1,4 +1,4 @@
-"""Halo-mass distribution comparison (the paper's Fig. 8)."""
+"""Halo-mass distributions (the paper's Fig. 8)."""
 
 from __future__ import annotations
 
@@ -47,9 +47,3 @@ def mass_histogram(catalog: HaloCatalog, n_bins: int = 8,
     counts, _ = np.histogram(masses, bins=edges)
     return MassHistogram(bin_edges=edges, counts=counts)
 
-
-def histogram_distance(a: MassHistogram, b: MassHistogram) -> float:
-    """L1 distance between two histograms on identical bins."""
-    if not np.array_equal(a.bin_edges, b.bin_edges):
-        raise ValueError("histograms must share bin edges")
-    return float(np.abs(a.counts - b.counts).sum())

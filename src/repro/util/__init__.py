@@ -18,8 +18,6 @@ _EXPORTS.update({
     "derive_seed": ("repro.util.rngstream", "derive_seed"),
     "pack_uint": ("repro.util.binary", "pack_uint"),
     "unpack_uint": ("repro.util.binary", "unpack_uint"),
-    "pad_to": ("repro.util.binary", "pad_to"),
-    "checksum32": ("repro.util.binary", "checksum32"),
 })
 
 __all__ = sorted(_EXPORTS)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import zlib
-
 
 def pack_uint(value: int, nbytes: int) -> bytes:
     """Pack a non-negative integer into *nbytes* little-endian bytes."""
@@ -22,14 +20,3 @@ def unpack_uint(buf: bytes, offset: int, nbytes: int) -> int:
         )
     return int.from_bytes(buf[offset : offset + nbytes], "little")
 
-
-def pad_to(buf: bytes, size: int, fill: int = 0) -> bytes:
-    """Pad *buf* with *fill* bytes up to *size* (error if already larger)."""
-    if len(buf) > size:
-        raise ValueError(f"buffer of {len(buf)} bytes exceeds target size {size}")
-    return buf + bytes([fill]) * (size - len(buf))
-
-
-def checksum32(buf: bytes) -> int:
-    """CRC-32 checksum used for optional integrity fields."""
-    return zlib.crc32(buf) & 0xFFFFFFFF

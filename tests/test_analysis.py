@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.distributions import histogram_distance, mass_histogram
+from repro.analysis.distributions import mass_histogram
 from repro.analysis.stats import (
     campaign_error_bars,
     normal_interval,
@@ -90,17 +90,6 @@ class TestDistributions:
         centres, counts = hist.series()
         assert len(centres) == 4
         assert counts.sum() == 3
-
-    def test_shared_bins_compare(self):
-        a = mass_histogram(self.catalog([10.0, 500.0]), 4, (5, 2000))
-        b = mass_histogram(self.catalog([10.0, 20.0]), 4, (5, 2000))
-        assert histogram_distance(a, b) == 2
-
-    def test_distance_requires_shared_bins(self):
-        a = mass_histogram(self.catalog([10.0]), 4, (5, 2000))
-        b = mass_histogram(self.catalog([10.0]), 5, (5, 2000))
-        with pytest.raises(ValueError):
-            histogram_distance(a, b)
 
     def test_empty_catalog_needs_range(self):
         with pytest.raises(ValueError):

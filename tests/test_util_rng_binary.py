@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.binary import checksum32, pack_uint, pad_to, unpack_uint
+from repro.util.binary import pack_uint, unpack_uint
 from repro.util.rngstream import RngStream, derive_seed
 
 
@@ -58,13 +58,3 @@ class TestBinary:
     @given(st.integers(0, 2**63), st.integers(8, 9))
     def test_roundtrip(self, value, nbytes):
         assert unpack_uint(pack_uint(value, nbytes), 0, nbytes) == value
-
-    def test_pad_to(self):
-        assert pad_to(b"ab", 4) == b"ab\x00\x00"
-        assert pad_to(b"ab", 2) == b"ab"
-        with pytest.raises(ValueError):
-            pad_to(b"abc", 2)
-
-    def test_checksum_stable(self):
-        assert checksum32(b"hello") == checksum32(b"hello")
-        assert checksum32(b"hello") != checksum32(b"hellp")

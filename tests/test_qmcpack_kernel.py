@@ -535,17 +535,16 @@ def test_following_golden_at_production_size():
 
 
 def test_trajectory_of_another_walker_count_is_not_followed():
+    """A trajectory recorded from 12 walkers is not followed from 24, nor
+    one whose final walkers claim another count though its marks are
+    those of the 12 walkers' own projection."""
     golden = dict(SETS)["golden"]
-    trajectory = record(golden[:12], DmcParams(target_walkers=12, n_blocks=14),
-                        dmc_rng())
-    for walkers in (golden, golden[:12].copy()):
+    twelve = DmcParams(target_walkers=12, n_blocks=14)
+    recorded = record(golden[:12], twelve, dmc_rng())
+    relabelled = Trajectory(golden[:6].copy(), recorded.rows, recorded.marks)
+    for walkers, params, trajectory in ((golden, DMC, recorded),
+                                        (golden[:12], twelve, relabelled)):
         wf = CountingWavefunction()
-        params = DmcParams(target_walkers=len(walkers), n_blocks=14)
-        if len(walkers) == 12:
-            # The same count, but its trajectory relabelled as another
-            # count's: the marks match and must still not be followed.
-            trajectory = Trajectory(golden[:6].copy(), trajectory.rows,
-                                    trajectory.marks)
         got = outcome(partial(run_dmc, follow=trajectory), wf, walkers,
                       params, dmc_rng())
         assert len(wf.calls) == full_calls(params)

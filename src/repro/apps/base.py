@@ -23,7 +23,12 @@ re-executing the whole prefix.  Step contract:
   place -- carries are shared with golden snapshots);
 * any randomness inside a step is derived by name from construction
   parameters (:class:`repro.util.rngstream.RngStream`), never threaded
-  across steps, so a replayed suffix draws identical randoms.
+  across steps, so a replayed suffix draws identical randoms;
+* a step reuses golden work only through the golden-memo seam: it
+  offers a product with :meth:`HpcApplication.keep_golden`, which keeps
+  it on the replay image only during the golden capture, and reads it
+  back with :meth:`HpcApplication.golden_memo`, which answers only in a
+  replayed run, so cold execution stays the from-scratch reference.
 """
 
 from __future__ import annotations
@@ -101,12 +106,14 @@ class ReplayImage:
     and ``boundaries[len(steps)]`` the final state); ``carries[k]`` the
     carry dict at the same point.  All images share extent bytes
     copy-on-write, so the whole set costs roughly one file-system image
-    plus per-step deltas.
+    plus per-step deltas.  ``memos`` holds what the capture's steps kept
+    for replayed runs (:meth:`HpcApplication.keep_golden`).
     """
 
     boundaries: Tuple[FsImage, ...]
     carries: Tuple[Mapping[str, object], ...]
     steps: Tuple[StepTrace, ...]
+    memos: Mapping[str, object] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -164,10 +171,10 @@ class HpcApplication(ABC):
     def __init__(self) -> None:
         self._phase_log: List[PhaseSpan] = []
         self._active_mp: Optional[MountPoint] = None
-        # True only inside execute_from, the replay engine's entry point:
-        # the one path on which a step may reuse work stored from the
-        # golden capture.  Cold execution stays the from-scratch reference.
-        self._replaying = False
+        # The golden-memo seam: a dict only while the capture builds the
+        # replay image, and the image's memos only inside execute_from.
+        self._kept: Optional[Dict[str, object]] = None
+        self._memos: Mapping[str, object] = {}
 
     # -- phases ---------------------------------------------------------------
 
@@ -191,6 +198,24 @@ class HpcApplication(ABC):
     @property
     def recorded_phases(self) -> List[PhaseSpan]:
         return list(self._phase_log)
+
+    # -- the golden-memo seam ---------------------------------------------------
+
+    @property
+    def capturing_golden(self) -> bool:
+        """True only while :meth:`capture_golden` builds the replay image."""
+        return self._kept is not None
+
+    def keep_golden(self, name: str, value: object) -> None:
+        """Keep *value* on the replay image under *name*; a no-op outside
+        the golden capture, so only golden work is ever reused."""
+        if self._kept is not None:
+            self._kept[name] = value
+
+    def golden_memo(self, name: str) -> Optional[object]:
+        """What the golden capture kept under *name*: answered only in a
+        replayed run (:meth:`execute_from`), ``None`` anywhere else."""
+        return self._memos.get(name)
 
     # -- the step protocol ----------------------------------------------------
 
@@ -256,24 +281,25 @@ class HpcApplication(ABC):
 
     def execute_from(self, mp: MountPoint, carry: Dict[str, object],
                      start: int = 0,
-                     next_step: Optional[Callable[[int], int]] = None) -> None:
+                     next_step: Optional[Callable[[int], int]] = None,
+                     memos: Optional[Mapping[str, object]] = None) -> None:
         """Replay entry point: execute steps ``start..`` against *mp*.
 
         With ``start == 0`` this is a cold execution through the step
         driver; otherwise the caller must have restored the file system
-        and *carry* to the boundary before step *start*.  Steps see
-        ``_replaying`` set for the duration.
+        and *carry* to the boundary before step *start*.  Steps read
+        *memos*, the golden replay image's, through :meth:`golden_memo`.
         """
         self._phase_log = []
         self._active_mp = mp
-        self._replaying = True
+        self._memos = memos or {}
         try:
             if start == 0:
                 self.prepare(mp, carry)
             self.run_steps(mp, carry, start=start, next_step=next_step)
         finally:
             self._active_mp = None
-            self._replaying = False
+            self._memos = {}
 
     # -- the application lifecycle ----------------------------------------------
 
@@ -392,6 +418,7 @@ class HpcApplication(ABC):
 
         self._phase_log = []
         self._active_mp = mp
+        self._kept = {}
         fs.interposer.add_global_hook(read_tracker)
         try:
             self.prepare(mp, carry)
@@ -401,6 +428,7 @@ class HpcApplication(ABC):
         finally:
             fs.interposer.remove_global_hook(read_tracker)
             self._active_mp = None
+            memos, self._kept = self._kept, None
 
         traces = []
         for i, step in enumerate(steps):
@@ -411,7 +439,8 @@ class HpcApplication(ABC):
                                     observed=tuple(sorted(observed[i])),
                                     written=written, removed=removed))
         return ReplayImage(boundaries=tuple(boundaries),
-                           carries=tuple(carries), steps=tuple(traces))
+                           carries=tuple(carries), steps=tuple(traces),
+                           memos=memos)
 
     # -- helpers -------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ detected; missing/unreadable mosaic → crash.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -61,14 +61,14 @@ class MontageApplication(HpcApplication):
     """Synthetic m101 mosaic pipeline.
 
     A difference image's plane fit is a pure function of its file
-    bytes, so the instance keeps the fits of the first ``mBg_fit`` it
-    runs -- the golden capture's -- keyed by the exact bytes of each
-    difference file.  A replayed run takes the stored fit of every
+    bytes, so the golden capture keeps its ``mBg_fit`` fits on the
+    replay image (:meth:`keep_golden`), keyed by the exact bytes of
+    each difference file.  A replayed run takes the golden fit of every
     difference file whose bytes still match and refits only the ones
-    that changed; forked pool and fleet workers inherit the dict with
-    the instance.  Cold execution (:meth:`execute`, which ``--no-replay``
-    forces) always fits: it stays the from-scratch reference replayed
-    records are checked against.
+    that changed; forked pool and fleet workers inherit the fits with
+    the golden record.  Cold execution (:meth:`execute`, which
+    ``--no-replay`` forces) always fits: it stays the from-scratch
+    reference replayed records are checked against.
     """
 
     name = "montage"
@@ -79,8 +79,6 @@ class MontageApplication(HpcApplication):
         self.seed = seed
         self.sky_config = sky_config
         self._tiles: List[RawTile] = make_raw_tiles(sky_config, seed)
-        # Difference-file bytes -> plane fit; see the class doc.
-        self._plane_fits: Optional[Dict[bytes, PlaneFit]] = None
 
     @property
     def tiles(self) -> List[RawTile]:
@@ -226,23 +224,19 @@ class MontageApplication(HpcApplication):
         are those of a full fit; only the fitting is reused (see the
         class doc).
         """
-        fill = self._plane_fits is None
-        if fill:
-            self._plane_fits = {}
-        fits = self._plane_fits
-        reuse = self._replaying
+        golden: Dict[bytes, PlaneFit] = self.golden_memo("plane_fits") or {}
+        fits: Dict[bytes, PlaneFit] = {}
 
         def fit(buf: bytes, path: str) -> PlaneFit:
-            plane = fits.get(buf) if reuse else None
+            plane = golden.get(buf)
             if plane is None:
-                plane = fit_diff(buf, path)
-                if fill:
-                    fits[buf] = plane
+                plane = fits[buf] = fit_diff(buf, path)
             return plane
 
         projected = carry["projected"]
         carry["background"] = mbg_fit(mp, [p.image for p in projected],
                                       carry["diffs"], CORR_DIR, fit=fit)
+        self.keep_golden("plane_fits", fits)
 
     def _step_mbg_apply(self, mp: MountPoint, carry) -> None:
         carry["corrected"] = mbg_apply(mp, carry["background"], CORR_DIR)

@@ -21,10 +21,7 @@ detected otherwise; analysis failures and library errors are crashes.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.apps.base import GoldenRecord, HpcApplication, RunStep
 from repro.apps.qmcpack.dmc import DmcParams, Mark, Trajectory, run_dmc
@@ -55,9 +52,6 @@ SDC_WINDOW = (-2.91, -2.90)
 #: Text files are flushed in stdio-sized chunks.
 TEXT_BLOCK = 2048
 
-#: A decoded walker array, exactly: ``(shape, dtype, bytes)``.
-_WalkerKey = Tuple[Tuple[int, ...], np.dtype, bytes]
-
 
 class QmcpackApplication(HpcApplication):
     """He-atom VMC+DMC with restart-file fault propagation.
@@ -65,20 +59,19 @@ class QmcpackApplication(HpcApplication):
     Seed, wavefunction and parameters are fixed per instance, so both
     Monte Carlo series are pure functions of their inputs: VMC has none
     and runs once at construction; DMC's only input is the decoded
-    walker array.  The instance therefore keeps the first projection it
-    computes -- the golden capture's -- keyed by the exact ``(shape,
-    dtype, bytes)`` of its walkers, and a replayed run whose walker file
-    still decodes to exactly those walkers reuses it.  The entry is that
-    projection's :class:`~repro.apps.qmcpack.dmc.Trajectory`: its rows,
-    its final walkers and one 40-byte mark per block.  A replayed run
-    whose walkers differ projects while following it, and stops at the
-    first block end where its state equals golden's, taking golden's
-    later rows (see :mod:`repro.apps.qmcpack.dmc` for why that is
-    exact).  Forked pool and fleet workers inherit the entry with the
-    instance.  Like prefix replay, the reuse stands on golden work, so
-    cold execution (:meth:`execute`, which ``--no-replay`` forces)
-    always projects to the end without following: it stays the
-    from-scratch reference replayed records are checked against.
+    walker array.  The golden capture keeps its projection's
+    :class:`~repro.apps.qmcpack.dmc.Trajectory` -- its rows, its final
+    walkers and one 40-byte mark per block -- on the replay image
+    (:meth:`keep_golden`).  A replayed run projects while following
+    it, and stops at the first block end where its state equals
+    golden's, taking golden's later rows (see
+    :mod:`repro.apps.qmcpack.dmc` for why that is exact); walkers equal
+    to golden's rejoin at the first block end.  Forked pool and fleet
+    workers inherit the trajectory with the golden record.  Like prefix
+    replay, the reuse stands on golden work, so cold execution
+    (:meth:`execute`, which ``--no-replay`` forces) always projects to
+    the end without following: it stays the from-scratch reference
+    replayed records are checked against.
     """
 
     name = "qmcpack"
@@ -99,8 +92,6 @@ class QmcpackApplication(HpcApplication):
         # computed once (the per-run cost is DMC only).
         vmc_rng = RngStream(seed, "qmcpack", "vmc").generator()
         self._vmc_walkers, self._vmc_rows = run_vmc(self.wf, vmc_params, vmc_rng)
-        # (walker key, trajectory) of the first projection; see the class doc.
-        self._dmc_memo: Optional[Tuple[_WalkerKey, Trajectory]] = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -117,8 +108,8 @@ class QmcpackApplication(HpcApplication):
         post-compute boundary and re-executes only the writes, and a
         fault that never touched the walker file fast-forwards past the
         projection entirely.  A fault that touched the walker file
-        re-executes ``dmc_compute``, which still projects from scratch
-        only when the file no longer decodes to the golden walkers.
+        re-executes ``dmc_compute``, which stops projecting where it
+        rejoins the golden trajectory.
         """
         return (RunStep("vmc", "vmc", self._step_vmc),
                 RunStep("dmc_compute", "dmc", self._step_dmc_compute),
@@ -135,28 +126,18 @@ class QmcpackApplication(HpcApplication):
         """Read the walker file back and project it.
 
         The read always happens, so file-system operations and decode
-        failures are those of a fresh projection.  A replayed run whose
-        walkers equal the stored entry's skips the DMC loop, taking
-        copies of its rows; any other replayed run follows the entry's
-        trajectory and stops where it rejoins it.  The first projection,
-        the golden capture's, records the entry; cold runs never read
-        it.
+        failures are those of a fresh projection.  The golden capture
+        records one mark per block and keeps the trajectory; a replayed
+        run follows it and stops where it rejoins it; a cold run does
+        neither.
         """
         walkers = Hdf5Reader(mp, CONFIG_FILE).read(WALKER_DATASET)
-        key = (walkers.shape, walkers.dtype, walkers.tobytes())
-        memo = self._dmc_memo
-        follow = None
-        if self._replaying and memo is not None:
-            if memo[0] == key:
-                carry["dmc_rows"] = [replace(row) for row in memo[1].rows]
-                return
-            follow = memo[1]
-        marks: Optional[List[Mark]] = [] if memo is None else None
+        marks: Optional[List[Mark]] = [] if self.capturing_golden else None
         dmc_rng = RngStream(self.seed, "qmcpack", "dmc").generator()
         final, rows = run_dmc(self.wf, walkers, self.dmc_params, dmc_rng,
-                              follow=follow, marks=marks)
+                              follow=self.golden_memo("dmc"), marks=marks)
         if marks is not None:
-            self._dmc_memo = (key, Trajectory(final, tuple(rows), tuple(marks)))
+            self.keep_golden("dmc", Trajectory(final, tuple(rows), tuple(marks)))
         carry["dmc_rows"] = rows
 
     def _step_dmc_write(self, mp: MountPoint, carry) -> None:

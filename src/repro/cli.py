@@ -425,12 +425,10 @@ def _cmd_study(args, parser, out) -> int:
               file=out)
         print(results.footer(), file=out)
         return 0
-    run_knobs = {}
-    if getattr(args, "quarantine_after", None) is not None:
-        run_knobs["quarantine_after"] = args.quarantine_after
     try:
-        results = Study(spec).run(hosts=args.hosts, queue_root=args.queue,
-                                  **run_knobs)
+        results = Study(spec).run(workers=args.workers, hosts=args.hosts,
+                                  queue_root=args.queue,
+                                  quarantine_after=args.quarantine_after)
     except ConfigError as exc:
         parser.error(str(exc))
     print(render(results) if render is not None else results.render(),

@@ -20,10 +20,10 @@ run.  This module exploits the equivalence in both directions:
   live file system (copy-on-write, O(files touched)) instead of
   re-executing it.  Fault-point awareness is exactly this check: a QMC
   fault confined to ``He.s000.scalar.dat`` never re-runs the DMC
-  projection, while one that corrupted the walker file does, unless it
-  still decodes to the golden walkers, and stops at the first block end
-  where its projection rejoins the golden trajectory (likewise, a
-  Montage fault in one difference image refits that image alone).
+  projection, while one that touched the walker file does, and stops at
+  the first block end where its projection rejoins the golden
+  trajectory kept on the replay image (likewise, a Montage fault in one
+  difference image refits that image alone).
 
 Safety is conservative and checked per run, per boundary:
 
@@ -96,12 +96,11 @@ def choose_boundary(image: ReplayImage, constraint: ReplayConstraint) -> int:
 def replay_boundary(context, spec) -> int:
     """The boundary index *spec* would restore from, or ``-1`` for cold.
 
-    A pure scheduling hint: it mirrors :func:`try_replay_execute`'s
-    gating without mounting a file system (planners call this per spec,
-    and instantiating backends here would be charged as executions by
-    instrumented factories).  The one gate it cannot check --
-    ``fs.supports_snapshots`` -- only turns every run cold, where the
-    ordering is harmless.
+    It needs no mounted file system (planners call this per spec, and
+    instantiating backends here would be charged as executions by
+    instrumented factories); :func:`try_replay_execute` adds the one
+    gate it cannot check, ``fs.supports_snapshots``, which only turns
+    every run cold, where the ordering is harmless.
     """
     if not context.replay_enabled:
         return -1
@@ -266,31 +265,18 @@ def try_replay_execute(context, spec, fs: FFISFileSystem, mp) -> bool:
     """Execute *spec* with prefix restore + suffix fast-forward.
 
     Returns ``False`` (without touching any state) when the run cannot
-    be replayed safely -- no step protocol, no snapshot support, no
-    replay image on the golden record, no scenario constraint, or
-    replay disabled -- in which case the caller runs cold.
+    be replayed safely -- :func:`replay_boundary` says cold, or the
+    file system cannot snapshot -- in which case the caller runs cold.
     """
-    if not context.replay_enabled:
+    start = replay_boundary(context, spec)
+    if start < 0 or not fs.supports_snapshots:
         return False
-    image = getattr(context.golden, "replay", None)
-    if image is None:
-        return False
-    app = context.app
-    steps = app.steps()
-    if steps is None or len(steps) != len(image.steps):
-        return False
-    if not fs.supports_snapshots:
-        return False
-    constraint = context.replay_constraint(spec)
-    if constraint is None:
-        return False
-    if constraint.points and constraint.primitive is None:
-        return False
-    start = choose_boundary(image, constraint)
+    image = context.golden.replay
     carry: Dict[str, object] = {}
     if start > 0:
         fs.restore(image.boundaries[start])
         carry.update(image.carries[start])
-    splicer = _Splicer(fs, image, constraint, carry)
-    app.execute_from(mp, carry, start=start, next_step=splicer.next_step)
+    splicer = _Splicer(fs, image, context.replay_constraint(spec), carry)
+    context.app.execute_from(mp, carry, start=start,
+                             next_step=splicer.next_step, memos=image.memos)
     return True

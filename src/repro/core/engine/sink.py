@@ -105,12 +105,13 @@ def record_from_json(raw: Dict[str, Any]) -> RunRecord:
     )
 
 
-def _iter_stamped_records(path: str) -> Iterator[Tuple[int, Optional[str], RunRecord]]:
+def iter_stamped_records(path: str) -> Iterator[Tuple[int, Optional[str], RunRecord]]:
     """Yield ``(lineno, campaign_stamp, record)`` for every results line.
 
     The file is streamed line by line -- this is the module's O(1)-in-
     file-size contract, and what keeps million-run resumes (and shard
-    merges) from loading a whole checkpoint into memory at once.
+    merges, and both ``load_records`` variants) from loading a whole
+    checkpoint into memory at once.
 
     A truncated final line is dropped only when the file lacks a
     trailing newline -- that is the one case where the writer was
@@ -140,16 +141,6 @@ def _iter_stamped_records(path: str) -> Iterator[Tuple[int, Optional[str], RunRe
             yield lineno, raw.get("campaign"), record
 
 
-def iter_stamped_records(path: str) -> Iterator[Tuple[int, Optional[str], RunRecord]]:
-    """Public streaming reader over a stamped JSONL results file.
-
-    Yields ``(lineno, campaign_stamp, record)`` without ever holding
-    more than one line in memory; the building block the distributed
-    shard merger and both ``load_records`` variants share.
-    """
-    return _iter_stamped_records(path)
-
-
 def load_records(path: str, campaign_id: Optional[str] = None) -> List[RunRecord]:
     """Read a JSONL results file back into records.
 
@@ -161,7 +152,7 @@ def load_records(path: str, campaign_id: Optional[str] = None) -> List[RunRecord
     Unstamped lines (written by bare sinks) are accepted as-is.
     """
     records: List[RunRecord] = []
-    for lineno, stamped, record in _iter_stamped_records(path):
+    for lineno, stamped, record in iter_stamped_records(path):
         if campaign_id is not None and stamped is not None \
                 and stamped != campaign_id:
             raise FFISError(
@@ -176,7 +167,7 @@ def load_records_by_campaign(path: str) -> Dict[Optional[str], List[RunRecord]]:
     """Records of a multiplexed sweep checkpoint, grouped by their
     per-line campaign stamp (``None`` groups unstamped legacy lines)."""
     groups: Dict[Optional[str], List[RunRecord]] = {}
-    for _, stamped, record in _iter_stamped_records(path):
+    for _, stamped, record in iter_stamped_records(path):
         groups.setdefault(stamped, []).append(record)
     return groups
 
@@ -201,7 +192,7 @@ def merge_shard_records(
     for path in sorted(paths):
         if not os.path.exists(path):
             continue
-        for _, stamped, record in _iter_stamped_records(path):
+        for _, stamped, record in iter_stamped_records(path):
             cell = groups.setdefault(stamped, {})
             if record.run_index in cell:
                 duplicates += 1

@@ -30,7 +30,7 @@ from repro.core.engine import (
     execute_sweep,
 )
 from repro.core.metadata_campaign import MetadataCampaign, MetadataWriteInfo
-from repro.errors import FFISError
+from repro.errors import ConfigError, FFISError
 from repro.fusefs.vfs import FFISFileSystem
 from repro.study.apps import resolve_app_factory
 from repro.study.resultset import CellInfo, ResultSet
@@ -116,12 +116,23 @@ class StudyPlan:
         after the merge, with every merged run counted.  Without ``queue_root`` the queue is a
         throwaway temporary directory: it is removed when the call
         returns, and kept (for a resume with an explicit
-        ``queue_root``) when the call raises.
+        ``queue_root``) when the call raises.  A knob that does not
+        apply -- ``workers`` with ``hosts > 1``, ``queue_root`` or
+        ``quarantine_after`` without -- raises :class:`ConfigError`.
         """
         spec = self.spec
         results_path = spec.out if results_path is None else results_path
         resume = spec.resume if resume is None else resume
-        if hosts is not None and hosts > 1:
+        distributed = hosts is not None and hosts > 1
+        if distributed and workers is not None:
+            raise ConfigError("workers (--workers) does not apply with "
+                              "hosts > 1: the fleet forks one worker per host")
+        for knob, value in (("queue_root (--queue)", queue_root),
+                            ("quarantine_after (--quarantine-after)",
+                             quarantine_after)):
+            if value is not None and not distributed:
+                raise ConfigError(f"{knob} applies only with hosts > 1")
+        if distributed:
             from repro.core.engine.dist import (
                 DEFAULT_QUARANTINE_AFTER,
                 execute_distributed,

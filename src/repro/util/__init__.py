@@ -8,9 +8,7 @@ from repro.util.lazy import lazy_exports
 
 _EXPORTS = {
     name: ("repro.util.bitops", name) for name in (
-        "flip_bit", "flip_bits", "flip_consecutive_bits", "get_bit",
-        "set_bit", "extract_bits", "deposit_bits", "popcount_bytes",
-        "hamming_distance",
+        "flip_bit", "flip_bits", "flip_consecutive_bits", "hamming_distance",
     )
 }
 _EXPORTS.update({

@@ -1,4 +1,4 @@
-"""Bit-level manipulation helpers used by fault models and the float codec.
+"""Bit-level manipulation helpers used by the fault models and campaigns.
 
 All buffer-oriented helpers use a consistent bit-addressing convention:
 bit ``i`` of a byte buffer lives in byte ``i // 8`` at intra-byte position
@@ -11,26 +11,6 @@ the little-endian element.
 from __future__ import annotations
 
 from typing import Iterable
-
-
-def get_bit(buf: bytes, bit_index: int) -> int:
-    """Return bit ``bit_index`` (0 = LSB of byte 0) of *buf* as 0 or 1."""
-    if bit_index < 0 or bit_index >= 8 * len(buf):
-        raise IndexError(f"bit index {bit_index} out of range for {len(buf)} bytes")
-    return (buf[bit_index >> 3] >> (bit_index & 7)) & 1
-
-
-def set_bit(buf: bytes, bit_index: int, value: int) -> bytes:
-    """Return a copy of *buf* with bit ``bit_index`` set to *value* (0/1)."""
-    if bit_index < 0 or bit_index >= 8 * len(buf):
-        raise IndexError(f"bit index {bit_index} out of range for {len(buf)} bytes")
-    out = bytearray(buf)
-    mask = 1 << (bit_index & 7)
-    if value:
-        out[bit_index >> 3] |= mask
-    else:
-        out[bit_index >> 3] &= ~mask & 0xFF
-    return bytes(out)
 
 
 def flip_bit(buf: bytes, bit_index: int) -> bytes:
@@ -67,30 +47,6 @@ def flip_consecutive_bits(buf: bytes, start_bit: int, count: int) -> bytes:
         raise IndexError(f"start bit {start_bit} out of range for {len(buf)} bytes")
     end = min(start_bit + count, n)
     return flip_bits(buf, range(start_bit, end))
-
-
-def extract_bits(value: int, location: int, size: int) -> int:
-    """Extract *size* bits of *value* starting at bit *location* (LSB = 0)."""
-    if size < 0 or location < 0:
-        raise ValueError("location and size must be non-negative")
-    if size == 0:
-        return 0
-    return (value >> location) & ((1 << size) - 1)
-
-
-def deposit_bits(value: int, field: int, location: int, size: int) -> int:
-    """Return *value* with *size* bits at *location* replaced by *field*."""
-    if size < 0 or location < 0:
-        raise ValueError("location and size must be non-negative")
-    if size == 0:
-        return value
-    mask = ((1 << size) - 1) << location
-    return (value & ~mask) | ((field << location) & mask)
-
-
-def popcount_bytes(buf: bytes) -> int:
-    """Number of set bits across *buf*."""
-    return sum(bin(b).count("1") for b in buf)
 
 
 def hamming_distance(a: bytes, b: bytes) -> int:

@@ -3,6 +3,7 @@
 import filecmp
 import inspect
 import io
+import os
 import subprocess
 import sys
 
@@ -203,6 +204,24 @@ class TestStudyCli:
             run_cli("study", "plan", "table3", "--runs", "5")
         with pytest.raises(SystemExit):
             run_cli("study", "run", "table4", "--runs", "5")
+
+    def test_fleet_flags_rejected_where_they_do_not_apply(self, tmp_path,
+                                                          capsys):
+        """--queue and --quarantine-after need --hosts > 1 and --workers
+        does not apply with it: each is a usage error naming the flag,
+        not a silently ignored knob."""
+        queue = str(tmp_path / "queue")
+        for flags, named in (
+                (("--queue", queue), "--queue"),
+                (("--quarantine-after", "2"), "--quarantine-after"),
+                (("--hosts", "1", "--queue", queue), "--queue"),
+                (("--hosts", "2", "--workers", "4", "--queue", queue),
+                 "--workers")):
+            with pytest.raises(SystemExit):
+                run_cli("study", "run", "--app", "nyx-small", "--model", "BF",
+                        "--runs", "2", *flags)
+            assert named in capsys.readouterr().err
+        assert not os.path.exists(queue)
 
     def test_run_with_out_resume_round_trip(self, tmp_path):
         spec_path = tmp_path / "study.toml"

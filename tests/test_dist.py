@@ -56,7 +56,7 @@ from repro.core.engine.dist import (
 from repro.core.engine.runner import execute_run_spec
 from repro.core.engine.sink import JsonlSink
 from repro.core.outcomes import Outcome, RunRecord
-from repro.errors import FFISError
+from repro.errors import ConfigError, FFISError
 from repro.study import Study, StudySpec
 from repro.study.spec import ModelSpec, TargetSpec
 
@@ -796,6 +796,21 @@ class TestStudyDistributed:
         assert {t for _, t in calls} == {total}
         done = [d for d, _ in calls]
         assert done == sorted(done)
+
+    def test_knobs_that_do_not_apply_are_rejected(self, tmp_path):
+        """queue_root and quarantine_after need hosts > 1 and workers
+        does not apply with it: each raises instead of being ignored,
+        before any queue directory exists."""
+        plan = Study(self.toy_spec(), apps=self.apps()).plan()
+        queue = str(tmp_path / "queue")
+        for knobs, named in (
+                ({"queue_root": queue}, "queue_root"),
+                ({"hosts": 1, "queue_root": queue}, "queue_root"),
+                ({"quarantine_after": 2}, "quarantine_after"),
+                ({"hosts": 2, "workers": 4, "queue_root": queue}, "workers")):
+            with pytest.raises(ConfigError, match=named):
+                plan.execute(**knobs)
+        assert not os.path.exists(queue)
 
     def test_resume_without_queue_root_is_an_error(self, tmp_path):
         plan = Study(self.toy_spec(), apps=self.apps()).plan()

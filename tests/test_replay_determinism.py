@@ -10,6 +10,8 @@ silently skewing outcome rates.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro.apps.montage.background as montage_background
@@ -130,11 +132,18 @@ def flip_record(app, golden, seqno, byte_offset, bit, replay=None):
         bit_index=bit))
 
 
+def without_memos(golden):
+    """*golden* with an empty memo mapping: replayed runs against it
+    restore and splice as usual but find no golden work to reuse."""
+    return dataclasses.replace(
+        golden, replay=dataclasses.replace(golden.replay, memos={}))
+
+
 class TestGoldenProjectionReuse:
-    """A replayed QMC run whose walker file still decodes to the golden
-    walkers reuses the golden DMC projection instead of re-running DMC;
-    the record must equal a fresh projection's, and cold runs must
-    still project."""
+    """A replayed QMC run follows the golden DMC trajectory the capture
+    kept and stops where it rejoins it; the record must equal a replayed
+    run's with no memo and a cold run's, and only the capture records
+    block marks."""
 
     @staticmethod
     def capture(app):
@@ -158,21 +167,39 @@ class TestGoldenProjectionReuse:
         return golden, writes, f.write_result
 
     @pytest.fixture
-    def dmc_calls(self, monkeypatch):
-        calls = []
+    def projections(self, monkeypatch):
+        """One ``[follow, records marks, evaluations]`` entry per
+        projection: the trajectory it was given, whether it recorded
+        block marks, and the walker sets it evaluated."""
+        log, active = [], []
         original = qmcpack_app.run_dmc
+        evaluate = HeliumWavefunction.evaluate_into
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(self, *args):
+            if active:
+                active[0][2] += 1
+            evaluate(self, *args)
 
-        monkeypatch.setattr(qmcpack_app, "run_dmc", counting)
-        return calls
+        def logging(*args, **kwargs):
+            entry = [kwargs.get("follow"), kwargs.get("marks") is not None, 0]
+            log.append(entry)
+            active.append(entry)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                active.clear()
 
-    def test_reserved_byte_reuses_and_data_flip_reprojects(self, dmc_calls):
+        monkeypatch.setattr(qmcpack_app, "run_dmc", logging)
+        monkeypatch.setattr(HeliumWavefunction, "evaluate_into", counting)
+        return log
+
+    def test_reserved_byte_reuses_and_data_flip_reprojects(self, projections):
         app = small_qmcpack()
         golden, writes, layout = self.capture(app)
-        assert len(dmc_calls) == 1          # the golden projection
+        params = app.dmc_params
+        full = 1 + params.n_blocks * params.steps_per_block
+        assert projections == [[None, True, full]]  # the golden projection
+        trajectory = golden.replay.memos["dmc"]
         blob = layout.metadata_blob
         meta = next(seqno for seqno, offset, buf in writes
                     if offset == 0 and buf == blob)
@@ -187,51 +214,25 @@ class TestGoldenProjectionReuse:
         data_at = layout.plan.datasets[0].data_address
         data = next(seqno for seqno, offset, _ in writes if offset == data_at)
 
-        # One flipped walker bit: a different array, a fresh projection.
+        # One flipped walker bit: a different array, a full projection.
         flipped = flip_record(app, golden, data, 100, 4)
-        assert len(dmc_calls) == 2
+        assert projections[-1] == [trajectory, False, full]
         assert flipped.fault_fired
-        assert flipped == flip_record(small_qmcpack(), golden, data, 100, 4)
-        assert len(dmc_calls) == 3
+        assert flipped == flip_record(app, without_memos(golden), data, 100, 4)
+        assert projections[-1] == [None, False, full]
 
-        # A reserved metadata byte: same walkers, the stored projection.
+        # A reserved metadata byte: the golden walkers, which rejoin the
+        # trajectory at the first block end.
         reused = flip_record(app, golden, meta, reserved.start, 0)
-        assert len(dmc_calls) == 3
+        assert projections[-1] == [trajectory, False,
+                                   1 + params.steps_per_block]
         assert reused.fault_fired
-        fresh = flip_record(small_qmcpack(), golden, meta, reserved.start, 0)
-        assert len(dmc_calls) == 4          # the empty entry projected
-        assert reused == fresh
 
-        # Cold execution is the reference: it never takes the entry.
+        # Cold execution is the reference: it never follows.
         cold = flip_record(app, golden, meta, reserved.start, 0, replay=False)
-        assert len(dmc_calls) == 5
+        assert projections[-1] == [None, False, full]
         assert cold == reused
-
-    @pytest.fixture
-    def projections(self, monkeypatch):
-        """One ``[follow, evaluations]`` entry per projection: the
-        trajectory it was given and the walker sets it evaluated."""
-        log, active = [], []
-        original = qmcpack_app.run_dmc
-        evaluate = HeliumWavefunction.evaluate_into
-
-        def counting(self, *args):
-            if active:
-                active[0][1] += 1
-            evaluate(self, *args)
-
-        def logging(*args, **kwargs):
-            entry = [kwargs.get("follow"), 0]
-            log.append(entry)
-            active.append(entry)
-            try:
-                return original(*args, **kwargs)
-            finally:
-                active.clear()
-
-        monkeypatch.setattr(qmcpack_app, "run_dmc", logging)
-        monkeypatch.setattr(HeliumWavefunction, "evaluate_into", counting)
-        return log
+        assert len(projections) == 5       # one run_dmc call per run
 
     def test_data_flip_that_rejoins_golden_stops_early(self, projections):
         """The top exponent bit of a walker the population soon drops:
@@ -241,32 +242,46 @@ class TestGoldenProjectionReuse:
         golden, writes, layout = self.capture(app)
         params = app.dmc_params
         full = 1 + params.n_blocks * params.steps_per_block
-        assert projections == [[None, full]]      # the golden projection
-        trajectory = app._dmc_memo[1]
+        assert projections == [[None, True, full]]  # the golden projection
+        trajectory = golden.replay.memos["dmc"]
         assert len(trajectory.marks) == params.n_blocks
         data_at = layout.plan.datasets[0].data_address
         data = next(seqno for seqno, offset, _ in writes if offset == data_at)
 
         replayed = flip_record(app, golden, data, 919, 6)
-        assert projections[-1] == [trajectory, 1 + 9 * params.steps_per_block]
+        assert projections[-1] == [trajectory, False,
+                                   1 + 9 * params.steps_per_block]
         assert replayed.fault_fired
         assert replayed.outcome is Outcome.DETECTED
-        assert app._dmc_memo[1] is trajectory      # golden's stays
+        assert golden.replay.memos == {"dmc": trajectory}  # golden's stays
 
-        # An empty entry records the projection instead of following.
-        fresh = flip_record(small_qmcpack(), golden, data, 919, 6)
-        assert projections[-1] == [None, full]
+        # An empty memo mapping projects to the end.
+        fresh = flip_record(app, without_memos(golden), data, 919, 6)
+        assert projections[-1] == [None, False, full]
         # Cold execution is the reference: it never follows.
         cold = flip_record(app, golden, data, 919, 6, replay=False)
-        assert projections[-1] == [None, full]
+        assert projections[-1] == [None, False, full]
         assert replayed == fresh == cold
+
+    def test_cold_run_keeps_nothing_and_the_capture_records(self, projections):
+        """The first projection of an instance is a cold one: it records
+        no marks, and the capture after it still keeps the trajectory."""
+        app = small_qmcpack()
+        params = app.dmc_params
+        full = 1 + params.n_blocks * params.steps_per_block
+        with mount(FFISFileSystem()) as mp:
+            app.execute(mp)
+        assert projections == [[None, False, full]]
+        golden, _, _ = self.capture(app)
+        assert projections[-1] == [None, True, full]
+        assert len(golden.replay.memos["dmc"].marks) == params.n_blocks
 
 
 class TestGoldenPlaneFitReuse:
     """A replayed Montage run takes the golden plane fit of every
     difference file whose bytes are unchanged and refits only the rest;
-    the record must equal a run with an empty dict, and cold runs must
-    still fit every difference image."""
+    the record must equal a replayed run's with no memo, and cold runs
+    must still fit every difference image."""
 
     @staticmethod
     def capture(app):
@@ -302,16 +317,18 @@ class TestGoldenPlaneFitReuse:
         app = small_montage()
         golden, diff_writes = self.capture(app)
         n_diffs = len(fit_calls)            # the golden capture fits them all
-        assert n_diffs == len(app._plane_fits) >= 2
+        fits = golden.replay.memos["plane_fits"]
+        assert n_diffs == len(fits) >= 2
         data = next(seqno for seqno, offset, _ in diff_writes
                     if offset == BLOCK_SIZE)
 
         flipped = flip_record(app, golden, data, 100, 6)
         assert flipped.fault_fired
         assert len(fit_calls) == n_diffs + 1
-        assert len(app._plane_fits) == n_diffs     # only golden fits stored
-        fresh = flip_record(small_montage(), golden, data, 100, 6)
-        assert len(fit_calls) == 2 * n_diffs + 1   # the empty dict fits all
+        assert golden.replay.memos == {"plane_fits": fits}  # golden's stay
+        assert len(fits) == n_diffs
+        fresh = flip_record(app, without_memos(golden), data, 100, 6)
+        assert len(fit_calls) == 2 * n_diffs + 1   # no memo: fits them all
         assert flipped == fresh
 
         # Cold execution is the reference: it never takes a stored fit.
@@ -332,4 +349,5 @@ class TestGoldenPlaneFitReuse:
         changed = flip_record(app, golden, seqno, digit, 0)
         assert changed.fault_fired
         assert len(fit_calls) == n_diffs + 1
-        assert changed == flip_record(small_montage(), golden, seqno, digit, 0)
+        assert changed == flip_record(app, without_memos(golden), seqno,
+                                      digit, 0)

@@ -4,48 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.bitops import (
-    deposit_bits,
-    extract_bits,
     flip_bit,
     flip_bits,
     flip_consecutive_bits,
-    get_bit,
     hamming_distance,
-    popcount_bytes,
-    set_bit,
 )
 
 
 class TestGetSetFlip:
-    def test_get_bit_lsb_first(self):
-        assert get_bit(b"\x01", 0) == 1
-        assert get_bit(b"\x01", 1) == 0
-        assert get_bit(b"\x80", 7) == 1
-
-    def test_get_bit_crosses_bytes(self):
-        assert get_bit(b"\x00\x01", 8) == 1
-        assert get_bit(b"\x00\x80", 15) == 1
-
-    def test_set_bit_on_off(self):
-        assert set_bit(b"\x00", 3, 1) == b"\x08"
-        assert set_bit(b"\xff", 3, 0) == b"\xf7"
-
-    def test_set_bit_is_pure(self):
-        original = b"\x00"
-        set_bit(original, 0, 1)
-        assert original == b"\x00"
-
     def test_flip_bit_involution(self):
         buf = bytes(range(16))
         assert flip_bit(flip_bit(buf, 37), 37) == buf
 
     def test_out_of_range_raises(self):
         with pytest.raises(IndexError):
-            get_bit(b"\x00", 8)
-        with pytest.raises(IndexError):
             flip_bit(b"\x00", -1)
-        with pytest.raises(IndexError):
-            set_bit(b"", 0, 1)
 
     def test_flip_bits_multiple(self):
         assert flip_bits(b"\x00", [0, 1, 2]) == b"\x07"
@@ -54,7 +27,6 @@ class TestGetSetFlip:
 class TestConsecutiveFlips:
     def test_flips_exactly_n(self):
         out = flip_consecutive_bits(b"\x00\x00", 6, 4)
-        assert popcount_bytes(out) == 4
         assert hamming_distance(out, b"\x00\x00") == 4
 
     def test_clamps_at_buffer_end(self):
@@ -80,33 +52,7 @@ class TestConsecutiveFlips:
         assert hamming_distance(buf, flip_consecutive_bits(buf, start, n)) == expected
 
 
-class TestFieldOps:
-    def test_extract_bits(self):
-        assert extract_bits(0b1101_0110, 1, 3) == 0b011
-        assert extract_bits(0xFF, 0, 0) == 0
-
-    def test_deposit_bits(self):
-        assert deposit_bits(0, 0b101, 2, 3) == 0b10100
-        assert deposit_bits(0xFF, 0, 0, 4) == 0xF0
-
-    @given(st.integers(0, 2**64 - 1), st.integers(0, 60), st.integers(0, 4))
-    def test_roundtrip(self, value, location, size):
-        field = extract_bits(value, location, size)
-        assert extract_bits(deposit_bits(value, field, location, size),
-                            location, size) == field
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            extract_bits(1, -1, 2)
-        with pytest.raises(ValueError):
-            deposit_bits(1, 1, 0, -2)
-
-
 class TestCounting:
-    def test_popcount(self):
-        assert popcount_bytes(b"\xff\x0f") == 12
-        assert popcount_bytes(b"") == 0
-
     def test_hamming_requires_equal_length(self):
         with pytest.raises(ValueError):
             hamming_distance(b"a", b"ab")

@@ -62,7 +62,7 @@ digest of the state's and the weights' bytes.  One that follows a
 and hashes the state only when those bytes match; on a match it takes
 the trajectory's later rows and final walkers.  A digest rather than the
 states themselves: 100 block states of 256 walkers are ~3 MB per
-instance (and every forked worker would inherit them), their marks
+golden record (and every forked worker would inherit them), their marks
 ~4 KB, and a false match needs a blake2b collision.
 """
 

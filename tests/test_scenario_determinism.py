@@ -30,6 +30,7 @@ from repro.core.engine import (
     load_records,
     load_records_by_campaign,
 )
+from repro.core.engine.dist import execute_distributed
 from repro.core.engine.sweep import ProfileGoldenCache
 from repro.core.outcomes import Outcome
 from repro.core.scenario import (
@@ -120,11 +121,15 @@ def toy_campaign(scenario, model, seed, n_runs=3):
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenario=scenarios, model=st.sampled_from(["BF", "SW", "DW"]),
-       seed=st.integers(min_value=0, max_value=2**31 - 1))
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       cut=st.integers(min_value=0, max_value=5))
 def test_serial_parallel_fused_checkpoints_are_identical(
-        tmp_path_factory, scenario, model, seed):
-    """For any scenario, the three execution styles must write the same
-    records -- compared down to the JSONL checkpoint bytes."""
+        tmp_path_factory, scenario, model, seed, cut):
+    """For any scenario, the execution styles must write the same
+    records -- compared down to the JSONL checkpoint bytes.  The fused
+    plan also runs on a 2-worker lease-queue fleet, fresh and resumed
+    from its serial checkpoint cut after *cut* whole lines or in the
+    middle of the next one, and each writes the serial bytes."""
     tmp = tmp_path_factory.mktemp("det")
     campaign = toy_campaign(scenario, model, seed)
     profile, golden = campaign.profile(), campaign.capture_golden()
@@ -140,10 +145,9 @@ def test_serial_parallel_fused_checkpoints_are_identical(
     cache = ProfileGoldenCache()
     cache.golden(campaign.app, campaign.fs_factory, lambda: golden)
     other = toy_campaign(scenario, model, seed + 1 or 1)
-    sweep = execute_sweep(
-        SweepPlan(cells=(campaign.plan_cell("cell", cache),
-                         other.plan_cell("other", cache))),
-        results_path=paths["fused"])
+    fused = SweepPlan(cells=(campaign.plan_cell("cell", cache),
+                             other.plan_cell("other", cache)))
+    sweep = execute_sweep(fused, results_path=paths["fused"])
 
     assert serial == parallel
     assert sweep.records["cell"] == serial
@@ -152,6 +156,21 @@ def test_serial_parallel_fused_checkpoints_are_identical(
     # lines must decode back to exactly the serial records.
     groups = load_records_by_campaign(paths["fused"])
     assert groups[campaign_id] == serial
+
+    with open(paths["fused"], "rb") as f:
+        lines = f.read().splitlines(keepends=True)
+    torn = lines[cut][:len(lines[cut]) // 2]
+    for name, prefix in (("fleet", None),
+                         ("fleet-cut", b"".join(lines[:cut])),
+                         ("fleet-torn", b"".join(lines[:cut]) + torn)):
+        path = str(tmp / f"{name}.jsonl")
+        if prefix is not None:
+            with open(path, "wb") as f:
+                f.write(prefix)
+        execute_distributed(fused, str(tmp / f"{name}-queue"), workers=2,
+                            results_path=path, resume=prefix is not None,
+                            timeout=120.0)
+        assert filecmp.cmp(paths["fused"], path, shallow=False), name
 
 
 @settings(max_examples=8, deadline=None,

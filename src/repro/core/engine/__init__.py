@@ -27,8 +27,8 @@ from repro.core.engine.replay import (
 from repro.core.engine.dist import (
     Coordinator,
     FileQueue,
+    FleetExecutor,
     Lease,
-    execute_distributed,
     run_worker,
 )
 from repro.core.engine.runner import execute_plan, execute_run_spec
@@ -37,7 +37,6 @@ from repro.core.engine.sink import (
     JsonlSink,
     ResultSink,
     TallySink,
-    completed_indices,
     iter_stamped_records,
     load_records,
     load_records_by_campaign,
@@ -60,6 +59,7 @@ __all__ = [
     "ExecutionContext",
     "Executor",
     "FileQueue",
+    "FleetExecutor",
     "JsonlSink",
     "Lease",
     "ParallelExecutor",
@@ -76,8 +76,6 @@ __all__ = [
     "TallySink",
     "capture_golden",
     "choose_boundary",
-    "completed_indices",
-    "execute_distributed",
     "execute_plan",
     "execute_run_spec",
     "execute_sweep",

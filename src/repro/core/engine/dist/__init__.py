@@ -14,11 +14,11 @@ drain one campaign:
 * :mod:`~repro.core.engine.dist.worker` -- the claim/execute/stream
   loop publishing per-lease stamped JSONL segments atomically;
 * :mod:`~repro.core.engine.dist.merge` -- shard reassembly: dedup by
-  ``(campaign, run index)``, completeness check, and a checkpoint
-  byte-identical to serial execution (or a ``partial`` merge plus a
-  machine-readable hole report);
+  ``(campaign, run index)``, a completeness check, and plan-order
+  records (or a ``partial`` merge that names every hole);
 * :mod:`~repro.core.engine.dist.coordinator` -- the lease lifecycle,
-  :func:`execute_distributed` (the one coordinator loop: forked local
+  :class:`FleetExecutor` (the one coordinator loop behind the
+  :class:`~repro.core.engine.executor.Executor` seam: forked local
   workers, or ``workers=0`` for a fleet that attaches from any host),
   and the degradation ladder that finishes campaigns whose local
   workers keep dying;
@@ -29,14 +29,18 @@ drain one campaign:
 * :mod:`~repro.core.engine.dist.retry` -- bounded exponential backoff
   with deterministic jitter for transient queue I/O.
 
+The fleet is one more backend of
+:func:`~repro.core.engine.sweep.execute_sweep`
+(``execute_sweep(plan, executor=FleetExecutor(root, ...))``), which
+writes, orders and resumes its records as it does every backend's.
 The failure model is crash-only: SIGKILL a worker at any instant and
 its lease expires, is reassigned, and re-executes; determinism makes
 the duplicate records identical and the merge drops them.  Nothing is
-lost, nothing is double-counted, and the merged checkpoint cannot be
-told apart from a ``workers=1`` serial run.  When a fault is
-*persistent* rather than crash-shaped -- a poison lease, a full disk,
-a flaky mount -- the queue quarantines, the coordinator degrades, and
-the campaign still completes with every hole named.
+lost, nothing is double-counted, and the checkpoint cannot be told
+apart from a ``workers=1`` serial run.  When a fault is *persistent*
+rather than crash-shaped -- a poison lease, a full disk, a flaky mount
+-- the queue quarantines, the coordinator degrades, and the campaign
+still completes with every hole named.
 """
 
 from repro.core.engine.dist.chaos import (
@@ -49,7 +53,7 @@ from repro.core.engine.dist.chaos import (
 from repro.core.engine.dist.coordinator import (
     Coordinator,
     DegradationReport,
-    execute_distributed,
+    FleetExecutor,
 )
 from repro.core.engine.dist.lease import (
     PROTOCOL_VERSION,
@@ -59,12 +63,7 @@ from repro.core.engine.dist.lease import (
     shard_plan,
     verify_manifest,
 )
-from repro.core.engine.dist.merge import (
-    HoleReport,
-    MergeStats,
-    merge_and_write,
-    merge_shards,
-)
+from repro.core.engine.dist.merge import MergeStats, merge_shards
 from repro.core.engine.dist.queue import (
     DEFAULT_QUARANTINE_AFTER,
     Claim,
@@ -89,7 +88,7 @@ __all__ = [
     "FaultSpec",
     "FaultyIO",
     "FileQueue",
-    "HoleReport",
+    "FleetExecutor",
     "Lease",
     "MergeStats",
     "PROTOCOL_VERSION",
@@ -98,8 +97,6 @@ __all__ = [
     "TRANSIENT_ERRNOS",
     "WorkerStats",
     "default_lease_runs",
-    "execute_distributed",
-    "merge_and_write",
     "merge_shards",
     "plan_manifest",
     "retry_io",

@@ -1,23 +1,26 @@
 """The coordinator: post leases, keep the fleet honest, merge the truth.
 
 :class:`Coordinator` owns a campaign's queue lifecycle -- shard the plan
-into leases, post them, and finally merge the shards into the canonical
-checkpoint.  It never executes a run itself, so one coordinator can
-serve workers on any mix of hosts that share the queue directory.
+into leases, post them, and finally merge the shards into plan-order
+records.  It never executes a run itself, so one coordinator can serve
+workers on any mix of hosts that share the queue directory.
 
-:func:`execute_distributed` is the one coordinator loop: post, then
-poll until every lease settles -- expiring stale claims so a dead
-worker's work is reassigned -- and merge.  ``workers`` forked local
-workers drain the queue over an in-memory plan (fork inheritance ships
-the compiled plan for free -- the capture-then-fork trick from the
-parallel executor, stretched across a queue); ``workers=0`` forks none
-and only coordinates a fleet that attaches on its own schedule, which
-is what ``repro study serve`` runs.  The result is a
-:class:`~repro.core.engine.sweep.SweepResult` indistinguishable from
-serial execution.  SIGKILLing any worker mid-lease is survivable by
-construction: its lease expires, a peer (or respawn) re-executes it,
-and the merge deduplicates whatever the dead worker had already
-written.
+:class:`FleetExecutor` puts the lease queue behind the
+:class:`~repro.core.engine.executor.Executor` seam.  Its ``map_tagged``
+is the one coordinator loop: post, then poll until every lease settles
+-- expiring stale claims so a dead worker's work is reassigned -- merge
+the shards once, and yield the records of the items it was asked for.
+:func:`~repro.core.engine.sweep.execute_sweep` then writes, orders and
+resumes them exactly as it does the serial and pool backends' records,
+so the checkpoint is indistinguishable from serial execution.
+``workers`` forked local workers drain the queue over an in-memory plan
+(fork inheritance ships the compiled plan for free -- the
+capture-then-fork trick from the parallel executor, stretched across a
+queue); ``workers=0`` forks none and only coordinates a fleet that
+attaches on its own schedule, which is what ``repro study serve``
+runs.  SIGKILLing any worker mid-lease is survivable by construction:
+its lease expires, a peer (or respawn) re-executes it, and the merge
+deduplicates whatever the dead worker had already written.
 
 When the infrastructure itself is failing, the coordinator walks a
 **degradation ladder** instead of dying:
@@ -29,24 +32,26 @@ When the infrastructure itself is failing, the coordinator walks a
    reclaims the orphaned claims and drains the queue itself, in
    process;
 4. *direct-drain* -- if even the queue's storage is persistently
-   broken, the remaining runs execute in process *bypassing* the
-   queue, and their records ride into the merge as ``extra``.
+   broken, the requested runs no published segment holds execute in
+   process through the serial backend, *bypassing* the queue.
 
 The ladder supervises local workers only: with ``workers=0`` the
 coordinator waits for its attached workers instead of draining.  Each
-step taken is recorded in a :class:`DegradationReport` attached to the
-result, and a campaign that settles around quarantined poison leases
-finishes with a partial merge plus an explicit hole report --
-completed cells byte-identical to serial, missing runs named, nothing
-silently dropped.
+step taken is recorded in a :class:`DegradationReport`, the executor's
+``report``, and a campaign that settles around quarantined poison
+leases names every run it could not yield as a hole -- the sweep
+writes the completed runs byte-identical to serial plus a hole
+receipt, and nothing is silently dropped.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.engine.dist.chaos import ChaosCrash, QueueIO
 from repro.core.engine.dist.lease import (
@@ -54,26 +59,15 @@ from repro.core.engine.dist.lease import (
     default_lease_runs,
     shard_plan,
 )
-from repro.core.engine.dist.merge import (
-    MergeStats,
-    merge_and_write,
-    merge_shards,
-)
+from repro.core.engine.dist.merge import MergeStats, merge_shards
 from repro.core.engine.dist.queue import (
     DEFAULT_QUARANTINE_AFTER,
     FileQueue,
 )
 from repro.core.engine.dist.retry import RetryPolicy
 from repro.core.engine.dist.worker import run_worker
-from repro.core.engine.executor import _place_worker
-from repro.core.engine.plan import RunPlan
-from repro.core.engine.sink import merge_shard_records, refuse_overwrite
-from repro.core.engine.sweep import (
-    SweepCell,
-    SweepPlan,
-    SweepResult,
-    execute_sweep,
-)
+from repro.core.engine.executor import Executor, SerialExecutor, _place_worker
+from repro.core.engine.sweep import SweepPlan
 from repro.core.outcomes import RunRecord
 from repro.errors import FFISError
 
@@ -84,16 +78,19 @@ class DegradationReport:
 
     ``stages`` is the ordered ladder actually walked (empty = the
     normal path); ``holes`` and ``quarantined`` account for every run
-    the merged checkpoint does *not* contain, so "the campaign
-    completed" and "the campaign completed around these losses" are
-    never conflated.
+    the checkpoint does *not* contain, so "the campaign completed" and
+    "the campaign completed around these losses" are never conflated.
     """
 
     stages: List[str] = field(default_factory=list)
     reasons: List[str] = field(default_factory=list)
     worker_deaths: int = 0
     quarantined: int = 0
+    #: every requested run the fleet could not yield, as
+    #: ``cell:run_index``, in plan order
     holes: Tuple[str, ...] = ()
+    #: the queue's quarantine diagnostics (poison + damaged leases)
+    diagnostics: Tuple[Dict[str, Any], ...] = ()
 
     def record(self, stage: str, reason: str) -> None:
         if stage not in self.stages:
@@ -116,14 +113,21 @@ class DegradationReport:
             bits.append(f"missing runs: {len(self.holes)}")
         return "; ".join(bits)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "stages": list(self.stages),
-            "reasons": list(self.reasons),
-            "worker_deaths": self.worker_deaths,
-            "quarantined": self.quarantined,
+    def write_receipt(self, path: str) -> None:
+        """Write the machine-readable hole receipt the sweep keeps
+        beside a partial checkpoint (``<results>.holes.json``),
+        atomically: a tmp sibling renamed into place."""
+        receipt = {
+            "complete": not self.holes,
             "missing_runs": list(self.holes),
+            "missing_count": len(self.holes),
+            "quarantined": [dict(diag) for diag in self.diagnostics],
         }
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(receipt, f, indent=2, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, path)
 
 
 class Coordinator:
@@ -156,26 +160,14 @@ class Coordinator:
             quarantine_after=self.quarantine_after)
         return self.queue
 
-    def runs_published(self) -> int:
-        """How many runs the leases with a published segment hold."""
-        done = self.queue.settled_names()
-        return sum(len(lease) for lease in self.leases
-                   if f"{lease.lease_id}.json" in done)
-
-    def finish(self, results_path: Optional[str] = None, *,
-               overwrite: bool = False,
-               partial: bool = False,
-               extra: Optional[Dict[Optional[str],
-                                    Dict[int, RunRecord]]] = None,
+    def finish(self, partial: bool = False
                ) -> Tuple[Dict[str, List[RunRecord]], MergeStats]:
         """End the campaign: raise the FINISHED marker (workers drain
-        and exit) and merge the shards into plan-order records --
-        optionally also writing the canonical checkpoint file.
+        and exit) and merge the shards into plan-order records.
 
         ``partial=True`` settles around quarantined leases: the merge
-        emits what exists (byte-identical for completed runs) and the
-        checkpoint gains a machine-readable hole report carrying the
-        queue's quarantine diagnostics.
+        returns what exists and names the rest in
+        :attr:`MergeStats.holes` instead of raising.
         """
         queue = self.queue
         if queue is None:
@@ -187,13 +179,7 @@ class Coordinator:
                 raise
             # A persistently broken queue cannot stop a partial finish:
             # the workers are already dead by the time we degrade here.
-        quarantined = queue.quarantined() if partial else ()
-        if results_path is None:
-            return merge_shards(self.plan, queue.shard_paths(),
-                                partial=partial, extra=extra)
-        return merge_and_write(self.plan, queue.shard_paths(), results_path,
-                               overwrite=overwrite, partial=partial,
-                               extra=extra, quarantined=quarantined)
+        return merge_shards(self.plan, queue.shard_paths(), partial=partial)
 
 
 def _worker_entry(root: str, plan: SweepPlan, worker_id: str,
@@ -210,204 +196,189 @@ def _worker_entry(root: str, plan: SweepPlan, worker_id: str,
                io=io, retry=retry)
 
 
-def _direct_drain(plan: SweepPlan, queue: FileQueue
-                  ) -> Dict[Optional[str], Dict[int, RunRecord]]:
-    """Last rung of the ladder: execute every run no published segment
-    covers, in process, without touching the (broken) queue.
+@dataclass(eq=False)
+class FleetExecutor(Executor):
+    """The lease-queue fleet as an :class:`Executor`.
 
-    The remainder is a :class:`SweepPlan` of its own, run through
-    :func:`~repro.core.engine.sweep.execute_sweep`.  Runs are
-    deterministic in their spec, so these records are byte-identical
-    to what a healthy worker would have produced; they ride into the
-    merge as ``extra``.
-    """
-    try:
-        groups, _ = merge_shard_records(queue.shard_paths())
-    except (FFISError, OSError):
-        groups = {}  # even the shards are unreadable: recompute all
-    remainder = SweepPlan(cells=tuple(
-        SweepCell(key=cell.key, campaign_id=cell.campaign_id,
-                  plan=RunPlan(context=cell.plan.context, specs=tuple(
-                      spec for spec in cell.plan.specs
-                      if spec.run_index not in groups.get(
-                          cell.campaign_id, {}))))
-        for cell in plan.cells))
-    records = execute_sweep(remainder).records
-    return {cell.campaign_id: {record.run_index: record
-                               for record in records[cell.key]}
-            for cell in plan.cells}
-
-
-def execute_distributed(plan: SweepPlan, root: str, *,
-                        workers: int = 2,
-                        lease_runs: Optional[int] = None,
-                        lease_ttl: float = 30.0,
-                        results_path: Optional[str] = None,
-                        resume: bool = False,
-                        poll_interval: float = 0.05,
-                        max_respawns: Optional[int] = None,
-                        timeout: Optional[float] = None,
-                        io: Optional[QueueIO] = None,
-                        retry: Optional[RetryPolicy] = None,
-                        quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
-                        progress: Optional[
-                            Callable[[Dict[str, int]], None]] = None,
-                        ) -> SweepResult:
-    """Run *plan* through a lease queue at *root* until every lease
-    settles, then merge.
-
-    The result -- records, per-cell ordering, and (when *results_path*
-    is given) the checkpoint file bytes -- is identical to
-    ``execute_sweep(plan, workers=1)``.  ``workers`` local worker
+    ``map_tagged(plan, items)`` posts *plan*'s leases at *root* and runs
+    the coordinator loop until every lease settles, then merges the
+    shards once and yields the records of the requested *items* --
+    :func:`~repro.core.engine.sweep.execute_sweep` writes, orders and
+    resumes them like any backend's.  ``workers`` local worker
     processes are forked to drain the queue; ``workers=0`` forks none
     and waits for workers that attach on their own (``repro worker``
     on any host that mounts *root*).  Dead local workers are respawned
     (up to *max_respawns*, default ``4 * workers``); past that budget
     the campaign *degrades* instead of dying -- shrunken fleet, then an
     in-process serial drain, then a queue-bypassing direct drain -- and
-    the taken path is reported on ``result.degradation``.  *timeout*
-    bounds the whole campaign as a hang backstop.  ``resume=True``
-    re-opens an interrupted queue directory: settled leases stay
-    settled and only the remainder executes.  ``io``/``retry`` are the
-    chaos seam and transient-retry policy handed to the queue and every
-    forked worker.  ``progress(counts)`` receives the queue's lease
-    counts once per poll, with two run counts added: ``runs`` (the
-    plan's size) and ``runs_done`` (the runs in leases whose segments
-    are published).  One last call follows the merge, with
-    ``runs_done`` the number of runs merged.
+    the taken path is the executor's ``report``.  *timeout* bounds the
+    whole campaign as a hang backstop.  ``resume=True`` re-opens an
+    interrupted queue directory: settled leases stay settled and only
+    the remainder executes.  It is explicit, never inferred from a root
+    that holds a queue, so a rebuilt program cannot silently reuse an
+    old build's shards.  ``io``/``retry`` are the chaos seam and
+    transient-retry policy handed to the queue and every forked worker.
+    ``progress(counts)`` receives the queue's lease counts once per
+    poll and once after the fleet settles.
     """
-    # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
-    start = time.perf_counter()
-    if workers < 0:
-        raise FFISError(f"workers must be >= 0, got {workers}")
-    refuse_overwrite(results_path, resume)
-    if workers:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError as exc:
-            raise FFISError(
-                "distributed local workers need the fork start method; "
-                "on this platform run separate `repro worker` processes "
-                "against the queue directory instead") from exc
 
-    coordinator = Coordinator(plan, root, lease_runs=lease_runs,
-                              lease_ttl=lease_ttl, workers=workers,
-                              io=io, retry=retry,
-                              quarantine_after=quarantine_after)
-    queue = coordinator.post(reuse=resume)
+    root: str
+    workers: int = 2
+    lease_runs: Optional[int] = None
+    lease_ttl: float = 30.0
+    resume: bool = False
+    poll_interval: float = 0.05
+    max_respawns: Optional[int] = None
+    timeout: Optional[float] = None
+    io: Optional[QueueIO] = None
+    retry: Optional[RetryPolicy] = None
+    quarantine_after: int = DEFAULT_QUARANTINE_AFTER
+    progress: Optional[Callable[[Dict[str, int]], None]] = None
 
-    def _report(runs_done: int) -> None:
-        progress(dict(queue.counts(), runs=len(plan), runs_done=runs_done))
+    def __post_init__(self) -> None:
+        if self.workers < 0:
+            raise FFISError(f"workers must be >= 0, got {self.workers}")
 
-    budget = max_respawns if max_respawns is not None else 4 * workers
-    report = DegradationReport()
-    procs: Dict[str, multiprocessing.Process] = {}
-    spawned = 0
-    extra: Optional[Dict[Optional[str], Dict[int, RunRecord]]] = None
-
-    def _spawn() -> None:
-        nonlocal spawned
-        worker_id = f"w{spawned:02d}"
-        spawned += 1
-        proc = ctx.Process(target=_worker_entry,
-                           args=(root, plan, worker_id, poll_interval,
-                                 io, retry))
-        proc.start()
-        procs[worker_id] = proc
-
-    for _ in range(workers):
-        _spawn()
-    # repro: allow[R001] campaign deadline is a hang backstop, never recorded
-    deadline = None if timeout is None else time.monotonic() + timeout
-    try:
-        while not queue.settled():
+    def map_tagged(self, plan: SweepPlan, items
+                   ) -> Iterator[Tuple[str, RunRecord]]:
+        items = list(items)
+        self.report = None
+        root, io, retry = self.root, self.io, self.retry
+        poll_interval = self.poll_interval
+        if self.workers:
             try:
-                queue.expire_stale(coordinator.lease_ttl)
-            except OSError:
-                pass  # expiry is best-effort; the next sweep retries
-            if progress is not None:
-                _report(coordinator.runs_published())
-            for worker_id in sorted(procs):
-                proc = procs[worker_id]
-                if not proc.is_alive() and not queue.settled():
-                    # A worker died (crash, OOM, SIGKILL): its claim
-                    # will expire and re-post; keep the fleet at
-                    # strength so someone is there to pick it up --
-                    # until the budget says the crashes are systemic.
-                    del procs[worker_id]
-                    report.worker_deaths += 1
-                    if report.worker_deaths > budget:
-                        report.record(
-                            "shrunk-fleet",
-                            f"respawn budget {budget} exhausted after "
-                            f"{report.worker_deaths} worker deaths; no "
-                            "longer replacing casualties")
-                    else:
-                        _spawn()
-            if spawned and not procs and not queue.settled():
-                # Every worker this call forked is gone and the budget
-                # is spent: drain what remains in this process.
-                # Orphaned claims are reclaimed immediately -- their
-                # workers are dead, not slow.  A coordinator that
-                # forked none never gets here: it waits for the
-                # workers attached to its queue.
-                report.record(
-                    "serial-drain",
-                    "every worker is dead; draining the queue in "
-                    "process")
-                try:
-                    queue.expire_stale(0.0)
-                    run_worker(root, plan, worker_id="rescue",
-                               poll_interval=poll_interval,
-                               reclaim_ttl=0.0, max_idle_polls=2,
-                               io=io, retry=retry)
-                except (ChaosCrash, OSError, FFISError) as exc:
-                    # Even in-process draining cannot get through the
-                    # queue's storage: compute the remainder directly.
-                    report.record(
-                        "direct-drain",
-                        f"queue storage is persistently failing "
-                        f"({type(exc).__name__}: {exc}); executing the "
-                        "remainder in process, bypassing the queue")
-                    extra = _direct_drain(plan, queue)
-                break
-            # repro: allow[R001] hang-backstop check only, never recorded
-            if deadline is not None and time.monotonic() > deadline:
+                ctx = multiprocessing.get_context("fork")
+            except ValueError as exc:
                 raise FFISError(
-                    f"distributed campaign at {root} exceeded its "
-                    f"{timeout}s timeout with work outstanding "
-                    f"({queue.counts()}); the queue directory is intact "
-                    "-- resume it")
-            time.sleep(poll_interval)
-    finally:
-        if procs:
-            # Raise FINISHED first so healthy local workers drain and
-            # exit on their own; anything still alive after a grace
-            # join is torn down (its lease state is crash-safe
-            # regardless).  Without local workers an unsettled queue
-            # stays open: its attached workers keep polling for a
-            # resumed coordinator.
-            try:
-                queue.mark_finished()
-            except OSError:
-                pass  # broken queue storage; workers still get terminated
-            for proc in procs.values():
-                proc.join(timeout=5.0)
-            for proc in procs.values():
-                if proc.is_alive():
-                    proc.terminate()
+                    "distributed local workers need the fork start method; "
+                    "on this platform run separate `repro worker` processes "
+                    "against the queue directory instead") from exc
+
+        coordinator = Coordinator(plan, root, lease_runs=self.lease_runs,
+                                  lease_ttl=self.lease_ttl,
+                                  workers=self.workers, io=io, retry=retry,
+                                  quarantine_after=self.quarantine_after)
+        queue = coordinator.post(reuse=self.resume)
+
+        budget = self.max_respawns if self.max_respawns is not None \
+            else 4 * self.workers
+        report = DegradationReport()
+        procs: Dict[str, multiprocessing.Process] = {}
+        spawned = 0
+        direct = False
+
+        def _spawn() -> None:
+            nonlocal spawned
+            worker_id = f"w{spawned:02d}"
+            spawned += 1
+            proc = ctx.Process(target=_worker_entry,
+                               args=(root, plan, worker_id, poll_interval,
+                                     io, retry))
+            proc.start()
+            procs[worker_id] = proc
+
+        for _ in range(self.workers):
+            _spawn()
+        # repro: allow[R001] campaign deadline is a hang backstop, never recorded
+        deadline = None if self.timeout is None \
+            else time.monotonic() + self.timeout
+        try:
+            while not queue.settled():
+                try:
+                    queue.expire_stale(coordinator.lease_ttl)
+                except OSError:
+                    pass  # expiry is best-effort; the next sweep retries
+                if self.progress is not None:
+                    self.progress(queue.counts())
+                for worker_id in sorted(procs):
+                    proc = procs[worker_id]
+                    if not proc.is_alive() and not queue.settled():
+                        # A worker died (crash, OOM, SIGKILL): its claim
+                        # will expire and re-post; keep the fleet at
+                        # strength so someone is there to pick it up --
+                        # until the budget says the crashes are systemic.
+                        del procs[worker_id]
+                        report.worker_deaths += 1
+                        if report.worker_deaths > budget:
+                            report.record(
+                                "shrunk-fleet",
+                                f"respawn budget {budget} exhausted after "
+                                f"{report.worker_deaths} worker deaths; no "
+                                "longer replacing casualties")
+                        else:
+                            _spawn()
+                if spawned and not procs and not queue.settled():
+                    # Every worker this call forked is gone and the
+                    # budget is spent: drain what remains in this
+                    # process.  Orphaned claims are reclaimed
+                    # immediately -- their workers are dead, not slow.
+                    # A coordinator that forked none never gets here: it
+                    # waits for the workers attached to its queue.
+                    report.record(
+                        "serial-drain",
+                        "every worker is dead; draining the queue in "
+                        "process")
+                    try:
+                        queue.expire_stale(0.0)
+                        run_worker(root, plan, worker_id="rescue",
+                                   poll_interval=poll_interval,
+                                   reclaim_ttl=0.0, max_idle_polls=2,
+                                   io=io, retry=retry)
+                    except (ChaosCrash, OSError, FFISError) as exc:
+                        # Even in-process draining cannot get through
+                        # the queue's storage: after the merge, compute
+                        # the remainder directly.
+                        report.record(
+                            "direct-drain",
+                            f"queue storage is persistently failing "
+                            f"({type(exc).__name__}: {exc}); executing the "
+                            "remainder in process, bypassing the queue")
+                        direct = True
+                    break
+                # repro: allow[R001] hang-backstop check only, never recorded
+                if deadline is not None and time.monotonic() > deadline:
+                    raise FFISError(
+                        f"distributed campaign at {root} exceeded its "
+                        f"{self.timeout}s timeout with work outstanding "
+                        f"({queue.counts()}); the queue directory is "
+                        "intact -- resume it")
+                time.sleep(poll_interval)
+        finally:
+            if procs:
+                # Raise FINISHED first so healthy local workers drain
+                # and exit on their own; anything still alive after a
+                # grace join is torn down (its lease state is
+                # crash-safe regardless).  Without local workers an
+                # unsettled queue stays open: its attached workers keep
+                # polling for a resumed coordinator.
+                try:
+                    queue.mark_finished()
+                except OSError:
+                    pass  # broken queue storage; workers still get terminated
+                for proc in procs.values():
                     proc.join(timeout=5.0)
-    partial = extra is not None or not queue.all_done()
-    merged, stats = coordinator.finish(results_path=results_path,
-                                       overwrite=True, partial=partial,
-                                       extra=extra)
-    if progress is not None:
-        _report(stats.total)
-    report.quarantined = queue.counts()["quarantined"]
-    report.holes = stats.holes
-    result = SweepResult(records=merged, executed=stats.total)
-    if report.degraded:
-        result.degradation = report
-    # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
-    result.elapsed_seconds = time.perf_counter() - start
-    return result
+                for proc in procs.values():
+                    if proc.is_alive():
+                        proc.terminate()
+                        proc.join(timeout=5.0)
+        merged, stats = coordinator.finish(
+            partial=direct or not queue.all_done())
+        if self.progress is not None:
+            self.progress(queue.counts())
+        by_pair = {(key, record.run_index): record
+                   for key, records in merged.items() for record in records}
+        rest = [(key, spec) for key, spec in items
+                if (key, spec.run_index) not in by_pair]
+        report.quarantined = queue.counts()["quarantined"]
+        if rest and not direct:
+            lost = {f"{key}:{spec.run_index}" for key, spec in rest}
+            report.holes = tuple(h for h in stats.holes if h in lost)
+            report.diagnostics = tuple(queue.quarantined())
+            rest = []
+        if report.degraded:
+            self.report = report
+        for key, spec in items:
+            record = by_pair.get((key, spec.run_index))
+            if record is not None:
+                yield key, record
+        yield from SerialExecutor().map_tagged(plan, rest)

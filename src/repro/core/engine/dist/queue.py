@@ -629,12 +629,6 @@ class FileQueue:
         done = self.settled_names() | self._quarantined_lease_names()
         return all(f"{lease_id}.json" in done for lease_id in self.lease_ids)
 
-    def idle(self) -> bool:
-        """Nothing pending and nothing claimed (not necessarily done --
-        a crashed queue can be idle with work missing)."""
-        return self._count(self.pending_dir) == 0 \
-            and not self._leased_names()
-
     def mark_finished(self) -> None:
         def publish() -> None:
             f = self.io.open_w(self.finished_path)

@@ -1,15 +1,21 @@
 """Pluggable executors: how a sweep's specs actually get executed.
 
 The :class:`Executor` ABC is the swappable backend seam, and its one
-protocol is ``map_tagged``: run ``(cell key, spec)`` pairs against a
-*dictionary* of execution contexts and yield ``(key, record)`` pairs in
-item order.  That is how many campaigns share one backend (one pool
-initialization, interleaved dispatch) instead of running back to back;
-a single campaign is a one-cell sweep.  Every backend yields the same
-records in the same order, so they are interchangeable.
+protocol is ``map_tagged``: run a sweep plan's ``(cell key, spec)``
+pairs, each under its cell's execution context, and yield one ``(key,
+record)`` pair per item, in any order.  That is how many campaigns
+share one backend (one pool initialization, interleaved dispatch)
+instead of running back to back; a single campaign is a one-cell
+sweep.  Runs are deterministic in their spec, so every backend yields
+the same records, and :func:`~repro.core.engine.sweep.execute_sweep`
+-- the one owner of checkpointing, ordering and resume -- treats them
+all alike.  A backend that settles around lost runs names them on its
+:attr:`Executor.report`.
 
 :class:`SerialExecutor` is the reference implementation -- a plain
-in-process loop.  :class:`ParallelExecutor` fans the same items out
+in-process loop.  The lease-queue fleet
+(:class:`~repro.core.engine.dist.coordinator.FleetExecutor`) is the
+third backend.  :class:`ParallelExecutor` fans the same items out
 over a :class:`concurrent.futures.ProcessPoolExecutor` using a
 **capture-then-fork** discipline: the parent finishes all fault-free
 work (profiles, golden captures, replay images) *before* the pool
@@ -34,7 +40,7 @@ import os
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.core.outcomes import RunRecord
 from repro.errors import ConfigError
@@ -99,6 +105,11 @@ def _allowed_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _contexts(plan) -> dict:
+    """Each cell's execution context, by cell key."""
+    return {cell.key: cell.plan.context for cell in plan.cells}
+
+
 def _run_span(start: int, stop: int) -> list:
     """Execute work items ``[start, stop)`` against the worker state."""
     from repro.core.engine.runner import execute_run_spec
@@ -111,23 +122,33 @@ def _run_span(start: int, stop: int) -> list:
 class Executor(ABC):
     """Strategy for executing the specs of a sweep's cells."""
 
-    @abstractmethod
-    def map_tagged(self, contexts: Mapping[str, object],
-                   items: Iterable[tuple]) -> Iterator[Tuple[str, RunRecord]]:
-        """Yield ``(key, record)`` per ``(key, spec)`` item, in item order.
+    #: ``None`` for a backend that yields every item.  One that settles
+    #: around lost runs sets it, before its stream ends, to a
+    #: :class:`~repro.core.engine.dist.coordinator.DegradationReport`
+    #: whose ``holes`` name each item it did not yield.
+    report = None
 
-        Each item's spec executes under ``contexts[key]``; one executor
-        (and, for the parallel backend, one worker pool) serves every
-        cell of a fused sweep.
+    @abstractmethod
+    def map_tagged(self, plan, items: Iterable[tuple]
+                   ) -> Iterator[Tuple[str, RunRecord]]:
+        """Yield ``(key, record)`` once per ``(key, spec)`` item, in any
+        order.
+
+        Each item's spec executes under the context of *plan*'s cell
+        ``key`` (*plan* is a :class:`~repro.core.engine.sweep.SweepPlan`);
+        one executor (and, for the parallel backend, one worker pool)
+        serves every cell of a fused sweep.
         """
 
 
 class SerialExecutor(Executor):
-    """The reference backend: execute specs one after another."""
+    """The reference backend: execute specs one after another, in item
+    order."""
 
-    def map_tagged(self, contexts, items) -> Iterator[Tuple[str, RunRecord]]:
+    def map_tagged(self, plan, items) -> Iterator[Tuple[str, RunRecord]]:
         from repro.core.engine.runner import execute_run_spec
 
+        contexts = _contexts(plan)
         for key, spec in items:
             yield key, execute_run_spec(contexts[key], spec)
 
@@ -215,12 +236,12 @@ class ParallelExecutor(Executor):
         return max(1, min(self.MAX_ADAPTIVE_CHUNK_SIZE,
                           n_items // (self.workers * 4)))
 
-    def map_tagged(self, contexts, items) -> Iterator[Tuple[str, RunRecord]]:
+    def map_tagged(self, plan, items) -> Iterator[Tuple[str, RunRecord]]:
         items = list(items)
         if not items:
             return
         mp_context = self._mp_context()
-        payload = (dict(contexts), items)
+        payload = (_contexts(plan), items)
         token = next(_fork_tokens)
         if mp_context.get_start_method() == "fork":
             # Publish before the pool exists: workers fork at first

@@ -20,7 +20,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -70,11 +69,10 @@ def format_stamped_line(record: RunRecord,
                         campaign_id: Optional[str]) -> str:
     """The canonical JSONL line for one (record, campaign stamp) pair.
 
-    Every writer -- the streaming sink, the distributed workers'
-    segment files, the shard merge publisher -- formats lines through
-    this one function, which is what makes "merged output is
-    byte-identical to serial output" a property of construction rather
-    than of luck.
+    Every writer -- the sweep's checkpoint sink and the distributed
+    workers' segment files -- formats lines through this one function,
+    which is what makes "distributed output is byte-identical to serial
+    output" a property of construction rather than of luck.
     """
     raw = record_to_json(record)
     if campaign_id is not None:
@@ -212,11 +210,6 @@ def refuse_overwrite(results_path: Optional[str], resume: bool) -> None:
             f"{results_path} already contains results; resume it "
             "(--resume / resume=True) or write to a fresh --out path "
             "instead of overwriting completed runs")
-
-
-def completed_indices(path: str) -> Set[int]:
-    """Run indices already present in a results file."""
-    return {record.run_index for record in load_records(path)}
 
 
 def _trim_partial_tail(path: str) -> None:

@@ -23,7 +23,10 @@ fuses many campaign plans into one execution:
 A single-cell sweep is exactly a classic campaign execution --
 :func:`repro.core.engine.runner.execute_plan` is implemented on top of
 this module -- so campaign- and sweep-level checkpoints share one
-on-disk format and one resume implementation.
+on-disk format and one resume implementation.  The same holds across
+backends: :func:`execute_sweep` writes, orders and resumes the records
+of the serial loop, the process pool and the lease-queue fleet alike,
+and is the only code that turns records into a checkpoint.
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ from typing import (
 )
 
 from repro.apps.base import GoldenRecord, HpcApplication
-from repro.core.engine.executor import make_executor
+from repro.core.engine.executor import Executor, make_executor
 from repro.core.engine.plan import RunPlan, RunSpec
 from repro.core.engine.sink import (
     JsonlSink,
     ResultSink,
+    format_stamped_line,
     load_records_by_campaign,
     refuse_overwrite,
 )
@@ -168,8 +172,9 @@ class SweepResult:
     #: from the checkpoint).
     executed: int = 0
     elapsed_seconds: float = 0.0
-    #: How a distributed execution finished: ``None`` for the normal
-    #: path (and always for in-process sweeps), else the coordinator's
+    #: The executor's :attr:`~repro.core.engine.executor.Executor.report`:
+    #: ``None`` for the normal path (and always for in-process
+    #: backends), else the fleet's
     #: :class:`~repro.core.engine.dist.coordinator.DegradationReport`
     #: naming each fallback taken and every hole left behind.
     degradation: Optional[Any] = None
@@ -271,32 +276,62 @@ def _assign_existing(plan: SweepPlan, results_path: str
     return existing, had_records
 
 
+def _rewrite_in_plan_order(path: str, order: Sequence[Tuple[str, int]],
+                           records: Dict[str, List[RunRecord]],
+                           stamps: Dict[str, Optional[str]]) -> None:
+    """Rewrite a whole checkpoint in plan order, atomically: a tmp
+    sibling renamed into place, so a crash leaves the old file."""
+    by_pair = {(key, record.run_index): record
+               for key, cell_records in records.items()
+               for record in cell_records}
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.writelines(format_stamped_line(by_pair[pair], stamps[pair[0]])
+                     for pair in order)
+    os.replace(tmp, path)
+
+
 def execute_sweep(plan: SweepPlan, *,
                   workers: int = 1,
                   chunk_size: Optional[int] = None,
                   results_path: Optional[str] = None,
                   resume: bool = False,
                   progress: Optional[Progress] = None,
-                  sinks: Sequence[ResultSink] = ()) -> SweepResult:
+                  sinks: Sequence[ResultSink] = (),
+                  executor: Optional[Executor] = None) -> SweepResult:
     """Execute every cell of *plan* through one executor.
 
-    * ``workers`` selects the executor (``>1`` forks a single process
-      pool serving every cell); ``chunk_size`` tunes its dispatch
-      granularity (``None`` adapts to the plan size).
+    * ``executor`` is the backend -- any
+      :class:`~repro.core.engine.executor.Executor`, the lease-queue
+      :class:`~repro.core.engine.dist.coordinator.FleetExecutor`
+      included.  Without one, ``workers`` selects it (``>1`` forks a
+      single process pool serving every cell) and ``chunk_size`` tunes
+      the pool's dispatch granularity (``None`` adapts to the plan
+      size).
     * ``results_path`` streams each record to one multiplexed JSONL
       checkpoint, each line stamped with its cell's campaign identity.
     * ``resume=True`` reads the checkpoint first and re-executes only
-      the missing ``(cell, run index)`` pairs; the per-cell merges are
-      record-for-record identical to an uninterrupted sweep.
+      the missing ``(cell, run index)`` pairs; the resumed checkpoint
+      is byte-identical to an uninterrupted sweep's.
     * ``progress(completed, total)`` counts runs across the whole sweep.
     * extra ``sinks`` consume the merged record stream (all cells).
 
     Dispatch order is a private optimization: within each cell, specs
     execute in replay-boundary order (consecutive runs restore the same
-    golden snapshot), but records are **emitted** -- to the checkpoint,
-    the sinks, and ``progress`` -- in the cells' interleaved plan order
-    through a reorder buffer, so checkpoints stay byte-identical to the
-    unsorted engine's and kill/resume semantics are unchanged.
+    golden snapshot), and a backend may yield them in any order, but
+    records are **emitted** -- to the checkpoint, the sinks, and
+    ``progress`` -- in the cells' interleaved plan order through a
+    reorder buffer, so checkpoints stay byte-identical to the unsorted
+    engine's and kill/resume semantics are unchanged.
+
+    A backend that loses runs must name each one in its ``report``'s
+    ``holes``; an unnamed missing run raises :class:`FFISError`.  The
+    sweep then emits the rest, sets ``result.degradation`` to the
+    report and writes its receipt beside the checkpoint
+    (``<results>.holes.json``); an execution that ends whole removes
+    any such receipt.  Resuming a checkpoint with gaps appends the
+    filled runs after the others, so once such a checkpoint is whole
+    it is rewritten in plan order.
     """
     # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
     start = time.perf_counter()
@@ -314,7 +349,8 @@ def execute_sweep(plan: SweepPlan, *,
                 f"cells {unstamped} have no campaign_id; a multi-cell "
                 "sweep checkpoint needs every line stamped to be "
                 "resumable")
-    executor = make_executor(workers, chunk_size=chunk_size)
+    if executor is None:
+        executor = make_executor(workers, chunk_size=chunk_size)
 
     existing: Dict[str, List[RunRecord]] = {cell.key: [] for cell in plan.cells}
     had_records = False
@@ -324,6 +360,7 @@ def execute_sweep(plan: SweepPlan, *,
     result = SweepResult()
     pending: List[Tuple[str, List[RunSpec]]] = []
     stamps: Dict[str, Optional[str]] = {}
+    kept_pairs = set()
     for cell in plan.cells:
         wanted = {spec.run_index for spec in cell.plan.specs}
         kept = [r for r in existing[cell.key] if r.run_index in wanted]
@@ -332,6 +369,14 @@ def execute_sweep(plan: SweepPlan, *,
                                    if spec.run_index not in done]))
         result.records[cell.key] = kept
         stamps[cell.key] = cell.campaign_id
+        kept_pairs.update((cell.key, index) for index in done)
+
+    # Every pair in the order an uninterrupted sweep emits it.  A killed
+    # sweep leaves a prefix of it, which appending extends; any other
+    # kept set (a partial fleet's holes) does not.
+    order = [(key, spec.run_index) for key, spec in _interleaved(
+        [(cell.key, cell.plan.specs) for cell in plan.cells])]
+    gapped = set(order[:len(kept_pairs)]) != kept_pairs
 
     all_sinks: List[ResultSink] = list(sinks)
     checkpoint: Optional[JsonlSink] = None
@@ -342,8 +387,22 @@ def execute_sweep(plan: SweepPlan, *,
     total = len(plan)
     completed = sum(len(records) for records in result.records.values())
     contexts = {cell.key: cell.plan.context for cell in plan.cells}
+    report = None
+
+    def emit(key: str, record: RunRecord) -> None:
+        nonlocal completed
+        if checkpoint is not None:
+            checkpoint.emit_stamped(record, stamps[key])
+        for sink in sinks:
+            sink.emit(record)
+        result.records[key].append(record)
+        result.executed += 1
+        completed += 1
+        if progress is not None:
+            progress(completed, total)
+
     try:
-        if sinks and any(result.records.values()):
+        if sinks and kept_pairs:
             # Resumed records are part of this sweep's record stream: a
             # tally (or any other extra sink) over a resumed sweep must
             # see the already-completed runs too, or it silently
@@ -355,40 +414,28 @@ def execute_sweep(plan: SweepPlan, *,
                 (key, record.run_index): record
                 for key, records in result.records.items()
                 for record in records}
-            for key, spec in _interleaved(
-                    [(cell.key, cell.plan.specs) for cell in plan.cells]):
-                record = kept_by_pair.get((key, spec.run_index))
+            for pair in order:
+                record = kept_by_pair.get(pair)
                 if record is not None:
                     for sink in sinks:
                         sink.emit(record)
         if any(specs for _, specs in pending):
-            # Emission stays in interleaved plan order; only the
-            # dispatch sequence is boundary-sorted (see docstring).
-            emit_order = [(key, spec.run_index)
-                          for key, spec in _interleaved(pending)]
+            # Emission follows the plan order; only the dispatch
+            # sequence is boundary-sorted (see docstring).
+            emit_order = [pair for pair in order if pair not in kept_pairs]
             dispatch = [(key, _boundary_sorted(contexts[key], specs))
                         for key, specs in pending]
             buffered: Dict[Tuple[str, int], RunRecord] = {}
             emitted = 0
-            stream = executor.map_tagged(contexts, _interleaved(dispatch))
+            stream = executor.map_tagged(plan, _interleaved(dispatch))
             try:
                 for done_key, done_record in stream:
                     buffered[(done_key, done_record.run_index)] = done_record
                     while emitted < len(emit_order) \
                             and emit_order[emitted] in buffered:
-                        key, _ = emit_order[emitted]
-                        record = buffered.pop(emit_order[emitted])
+                        emit(emit_order[emitted][0],
+                             buffered.pop(emit_order[emitted]))
                         emitted += 1
-                        if checkpoint is not None:
-                            checkpoint.emit_stamped(record, stamps[key])
-                        for sink in all_sinks:
-                            if sink is not checkpoint:
-                                sink.emit(record)
-                        result.records[key].append(record)
-                        result.executed += 1
-                        completed += 1
-                        if progress is not None:
-                            progress(completed, total)
             finally:
                 # Tear the executor down before closing the sinks so an
                 # interrupted parallel sweep cancels its pending runs
@@ -396,9 +443,34 @@ def execute_sweep(plan: SweepPlan, *,
                 close = getattr(stream, "close", None)
                 if close is not None:
                     close()
+            report = executor.report
+            holes = set(report.holes) if report is not None else set()
+            lost = []
+            for key, index in emit_order[emitted:]:
+                if (key, index) in buffered:
+                    emit(key, buffered.pop((key, index)))
+                elif f"{key}:{index}" not in holes:
+                    lost.append(f"{key}:{index}")
+            if lost:
+                raise FFISError(
+                    f"{type(executor).__name__} returned no record for "
+                    f"{len(lost)} planned runs ({', '.join(lost[:8])}) and "
+                    "named none of them as holes; refusing to shrink the "
+                    "campaign silently")
     finally:
         for sink in all_sinks:
             sink.close()
+    result.degradation = report
+    if results_path is not None:
+        receipt = results_path + ".holes.json"
+        if report is not None and report.holes:
+            report.write_receipt(receipt)
+        else:
+            if gapped:
+                _rewrite_in_plan_order(results_path, order, result.records,
+                                       stamps)
+            if os.path.exists(receipt):
+                os.unlink(receipt)
     for records in result.records.values():
         records.sort(key=lambda record: record.run_index)
     # repro: allow[R001] elapsed_seconds is reporting-only, never recorded

@@ -79,9 +79,5 @@ class BadFileDescriptor(VFSError):
     errno_name = "EBADF"
 
 
-class ReadOnlyViolation(VFSError):
-    errno_name = "EROFS"
-
-
 class NotMounted(FFISError):
     """An I/O primitive was invoked on an unmounted FFIS file system."""

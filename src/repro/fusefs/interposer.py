@@ -97,11 +97,6 @@ class Interposer:
         for listener in list(self._phase_listeners):
             listener(name)
 
-    def clear_hooks(self) -> None:
-        self._hooks.clear()
-        self._global_hooks.clear()
-        self._phase_listeners.clear()
-
     # -- dispatch -------------------------------------------------------------
 
     def count(self, primitive: str) -> int:

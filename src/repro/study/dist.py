@@ -6,7 +6,8 @@ worker on another host can rebuild the exact plan the coordinator is
 serving -- same apps, same seeds, same specs -- from the spec alone,
 and the queue manifest verifies the rebuild before a single run
 executes.  Both forms run the one coordinator loop,
-:func:`~repro.core.engine.dist.execute_distributed`: the local form is
+:class:`~repro.core.engine.dist.FleetExecutor`, as the backend of one
+:func:`~repro.core.engine.sweep.execute_sweep` call: the local form is
 ``StudyPlan.execute(hosts=...)`` with forked workers, and this module
 holds the cross-host form's two halves:
 
@@ -23,11 +24,12 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, Mapping, Optional
 
+from repro.core.engine import execute_sweep
 from repro.core.engine.dist import (
     DEFAULT_QUARANTINE_AFTER,
+    FleetExecutor,
     WorkerStats,
     default_lease_runs,
-    execute_distributed,
     run_worker,
 )
 from repro.fusefs.vfs import FFISFileSystem
@@ -51,28 +53,29 @@ def serve_study(plan: StudyPlan, queue_root: str, *,
 
     Runs the coordinator loop with zero local workers: post the plan's
     leases at *queue_root*, then expire stale claims and report
-    ``progress(counts)`` (lease counts plus ``runs`` and ``runs_done``,
-    as :func:`~repro.core.engine.dist.execute_distributed` documents)
-    once per poll until every lease settles, and once after the merge.
-    Workers -- started by hand, by a scheduler, on other hosts --
-    attach with ``repro worker`` pointed at the same directory.  The
-    shards are then merged (to *results_path*, if given) and the fleet
-    is released via the FINISHED marker.  ``resume=True`` re-opens an
-    interrupted queue; *hosts* only sizes the default lease granularity
-    here.
+    ``progress(counts)`` (the queue's lease counts) once per poll until
+    every lease settles, and once more after.  Workers -- started by
+    hand, by a scheduler, on other hosts -- attach with ``repro worker``
+    pointed at the same directory.  The shards are then merged, the
+    fleet is released via the FINISHED marker, and the sweep writes the
+    records to *results_path*, if given.  ``resume=True`` re-opens an
+    interrupted queue and resumes the checkpoint; *hosts* only sizes
+    the default lease granularity here.
 
     A campaign that settles around quarantined poison leases finishes
-    with a **partial** merge: completed runs byte-identical to serial,
-    holes written to a machine-readable report beside the checkpoint,
-    and the result's ``degradation`` naming what is missing.
+    **partially**: completed runs byte-identical to serial, holes
+    written to a machine-readable receipt beside the checkpoint, and
+    the result's ``degradation`` naming what is missing.
     """
     if lease_runs is None:
         lease_runs = default_lease_runs(plan.sweep, hosts)
-    return plan.result_set(execute_distributed(
-        plan.sweep, queue_root, workers=0, lease_runs=lease_runs,
-        lease_ttl=lease_ttl, results_path=results_path, resume=resume,
-        poll_interval=poll_interval, timeout=timeout,
-        quarantine_after=quarantine_after, progress=progress))
+    fleet = FleetExecutor(
+        queue_root, workers=0, lease_runs=lease_runs, lease_ttl=lease_ttl,
+        resume=resume, poll_interval=poll_interval, timeout=timeout,
+        quarantine_after=quarantine_after, progress=progress)
+    return plan.result_set(execute_sweep(
+        plan.sweep, executor=fleet, results_path=results_path,
+        resume=resume))
 
 
 def run_study_worker(queue_root: str, spec: StudySpec, *,

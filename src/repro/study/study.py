@@ -30,7 +30,7 @@ from repro.core.engine import (
     execute_sweep,
 )
 from repro.core.metadata_campaign import MetadataCampaign, MetadataWriteInfo
-from repro.errors import ConfigError, FFISError
+from repro.errors import ConfigError
 from repro.fusefs.vfs import FFISFileSystem
 from repro.study.apps import resolve_app_factory
 from repro.study.resultset import CellInfo, ResultSet
@@ -104,21 +104,23 @@ class StudyPlan:
         checkpoints to one multiplexed JSONL file and resumes by
         re-executing only the missing (cell, run index) pairs.
 
-        ``hosts > 1`` switches to the lease-queue distributed engine
-        (:func:`~repro.core.engine.dist.execute_distributed`): the plan
-        is sharded into leases, drained by ``hosts`` forked worker
+        ``hosts > 1`` runs the sweep on the lease-queue fleet
+        (:class:`~repro.core.engine.dist.FleetExecutor`): the plan is
+        sharded into leases, drained by ``hosts`` forked worker
         processes through the queue directory at ``queue_root``, and
-        merged back into a result -- and checkpoint -- byte-identical
-        to serial execution.  Fallbacks the fleet took are reported on
-        ``result.degradation``.  ``progress(completed, total)`` is then
-        called once per coordinator poll, ``completed`` counting the
-        runs in leases whose segments are published, and once more
-        after the merge, with every merged run counted.  Without ``queue_root`` the queue is a
-        throwaway temporary directory: it is removed when the call
-        returns, and kept (for a resume with an explicit
-        ``queue_root``) when the call raises.  A knob that does not
-        apply -- ``workers`` with ``hosts > 1``, ``queue_root`` or
-        ``quarantine_after`` without -- raises :class:`ConfigError`.
+        merged back into records the sweep writes, orders and resumes
+        as it does for serial execution -- the checkpoint is
+        byte-identical to serial.  ``resume`` also re-opens the queue
+        at ``queue_root``.  Fallbacks the fleet took are reported on
+        ``result.degradation``.  ``progress(completed, total)`` is
+        called once per emitted record with every backend; the
+        fleet's records are emitted after it settles.  Without
+        ``queue_root`` the queue is a throwaway temporary directory:
+        it is removed when the call returns, and kept (for a resume
+        with an explicit ``queue_root``) when the call raises.  A knob
+        that does not apply -- ``workers`` with ``hosts > 1``,
+        ``queue_root`` or ``quarantine_after`` without -- raises
+        :class:`ConfigError`.
         """
         spec = self.spec
         results_path = spec.out if results_path is None else results_path
@@ -132,36 +134,26 @@ class StudyPlan:
                              quarantine_after)):
             if value is not None and not distributed:
                 raise ConfigError(f"{knob} applies only with hosts > 1")
+        executor = None
+        throwaway = distributed and queue_root is None
         if distributed:
             from repro.core.engine.dist import (
                 DEFAULT_QUARANTINE_AFTER,
-                execute_distributed,
+                FleetExecutor,
             )
 
-            throwaway = queue_root is None
             if throwaway:
-                if resume:
-                    raise FFISError(
-                        "resume=True needs the queue_root of the "
-                        "interrupted campaign; a fresh throwaway queue "
-                        "has nothing to resume")
                 queue_root = tempfile.mkdtemp(prefix="repro-queue-")
-            sweep = execute_distributed(
-                self.sweep, queue_root, workers=hosts,
-                results_path=results_path, resume=resume,
+            executor = FleetExecutor(
+                queue_root, workers=hosts, resume=resume,
                 quarantine_after=DEFAULT_QUARANTINE_AFTER
-                if quarantine_after is None else quarantine_after,
-                progress=None if progress is None else (
-                    lambda counts: progress(counts["runs_done"],
-                                            counts["runs"])))
-            if throwaway:
-                shutil.rmtree(queue_root)
-        else:
-            sweep = execute_sweep(
-                self.sweep,
-                workers=spec.workers if workers is None else workers,
-                results_path=results_path, resume=resume,
-                progress=progress)
+                if quarantine_after is None else quarantine_after)
+        sweep = execute_sweep(
+            self.sweep, executor=executor,
+            workers=spec.workers if workers is None else workers,
+            results_path=results_path, resume=resume, progress=progress)
+        if throwaway:
+            shutil.rmtree(queue_root)
         return self.result_set(sweep)
 
     def result_set(self, sweep: SweepResult) -> ResultSet:

@@ -45,8 +45,6 @@ from repro.core.engine.dist import (
     FaultyIO,
     FileQueue,
     RetryPolicy,
-    execute_distributed,
-    merge_and_write,
     merge_shards,
     retry_io,
     run_worker,
@@ -57,7 +55,13 @@ from repro.errors import FFISError
 from repro.study import Study, StudySpec, serve_study
 from repro.study.spec import ModelSpec, TargetSpec
 
-from tests.test_dist import settle, synth_record, synthetic_plan, toy_plan
+from tests.test_dist import (
+    fleet_sweep,
+    settle,
+    synth_record,
+    synthetic_plan,
+    toy_plan,
+)
 from tests.test_scenario_determinism import ToyApp
 
 
@@ -390,31 +394,31 @@ class TestPartialMerge:
 
     def test_partial_write_emits_receipt_with_quarantine_diags(
             self, tmp_path):
-        plan = synthetic_plan((3, 2))
-        paths = self.shards(tmp_path, plan, drop={("B", 1)})
+        """A fleet that settles around a poison lease yields the rest;
+        the sweep writes them and a receipt naming the holes, in plan
+        order, with the queue's quarantine diagnostics."""
+        plan = toy_plan(n_runs=3)   # leases BF[0:2], BF[2:3], DW[0:2], ...
+        root = str(tmp_path / "q")
+        Coordinator(plan, root, lease_runs=2, quarantine_after=1).post()
+        io_ = FaultyIO(3, [FaultSpec(site="write", err=errno.ENOSPC,
+                                     match="seg-lease-00002",
+                                     probability=1.0)])
+        with pytest.warns(UserWarning, match="quarantined"):
+            run_worker(root, plan, "w0", io=io_, max_idle_polls=3)
         out = str(tmp_path / "results.jsonl")
-        diag = {"lease_id": "lease-00002", "reason": "poison"}
-        _, stats = merge_and_write(plan, paths, out, partial=True,
-                                   quarantined=(diag,))
-        assert stats.holes == ("B:1",)
+        result = fleet_sweep(plan, root, out, resume=True, workers=0,
+                             lease_runs=2)
+        assert result.degradation.holes == ("DW:0", "DW:1")
         pairs = [(stamp, record.run_index)
                  for _, stamp, record in iter_stamped_records(out)]
-        assert len(pairs) == 4 and ("camp-B", 1) not in pairs
+        assert len(pairs) == 4
         with open(out + ".holes.json", encoding="utf-8") as f:
             report = json.load(f)
         assert report["complete"] is False
-        assert report["missing_runs"] == ["B:1"]
-        assert report["quarantined"] == [diag]
-
-    def test_receipt_written_even_when_partial_is_complete(self, tmp_path):
-        plan = synthetic_plan((2,))
-        paths = self.shards(tmp_path, plan)
-        out = str(tmp_path / "results.jsonl")
-        merge_and_write(plan, paths, out, partial=True)
-        with open(out + ".holes.json", encoding="utf-8") as f:
-            report = json.load(f)
-        assert report["complete"] is True
-        assert report["missing_runs"] == []
+        assert report["missing_runs"] == ["DW:0", "DW:1"]
+        assert report["quarantined"] == FileQueue(root).quarantined()
+        assert [q["lease_id"] for q in report["quarantined"]] == \
+            ["lease-00002"]
 
 
 # -- the fast chaos smoke (gates every PR) --------------------------------------
@@ -436,8 +440,9 @@ SMOKE_FAULTS = (
 
 def _drain_under_chaos(root, plan, seed, results,
                        faults=SMOKE_FAULTS, quarantine_after=3):
-    """One in-process campaign through a seeded FaultyIO; returns the
-    io (for schedule assertions) and the merge stats."""
+    """One in-process campaign through a seeded FaultyIO, finished under
+    it, then written by a fleet sweep over the settled queue; returns
+    the io (for schedule assertions) and the queue."""
     io_ = FaultyIO(seed, faults)
     retry = RetryPolicy(attempts=6, base_delay=0.0, seed=seed)
     coordinator = Coordinator(plan, root, lease_runs=2, io=io_,
@@ -446,7 +451,8 @@ def _drain_under_chaos(root, plan, seed, results,
     queue = coordinator.post()
     run_worker(root, plan, "w0", io=io_, retry=retry,
                poll_interval=0.0, max_idle_polls=6)
-    coordinator.finish(results_path=results, overwrite=True)
+    coordinator.finish()
+    fleet_sweep(plan, root, results, resume=True, workers=0, lease_runs=2)
     return io_, queue
 
 
@@ -552,10 +558,10 @@ class TestDegradationLadder:
         dist = str(tmp_path / "dist.jsonl")
         io_ = FaultyIO(7, [FaultSpec(site="write", kind="crash",
                                      match="--w00", probability=1.0)])
-        result = execute_distributed(
-            plan, str(tmp_path / "q"), workers=1, lease_runs=2,
-            lease_ttl=0.3, results_path=dist, poll_interval=0.02,
-            max_respawns=0, timeout=120.0, io=io_)
+        result = fleet_sweep(
+            plan, str(tmp_path / "q"), dist, workers=1, lease_runs=2,
+            lease_ttl=0.3, poll_interval=0.02, max_respawns=0,
+            timeout=120.0, io=io_)
         assert filecmp.cmp(serial, dist, shallow=False)
         report = result.degradation
         assert report is not None
@@ -575,18 +581,18 @@ class TestDegradationLadder:
         dist = str(tmp_path / "dist.jsonl")
         io_ = FaultyIO(7, [FaultSpec(site="write", kind="crash",
                                      match="seg-", probability=1.0)])
-        result = execute_distributed(
-            plan, str(tmp_path / "q"), workers=1, lease_runs=2,
-            lease_ttl=0.3, results_path=dist, poll_interval=0.02,
-            max_respawns=0, timeout=120.0, io=io_)
+        result = fleet_sweep(
+            plan, str(tmp_path / "q"), dist, workers=1, lease_runs=2,
+            lease_ttl=0.3, poll_interval=0.02, max_respawns=0,
+            timeout=120.0, io=io_)
         assert filecmp.cmp(serial, dist, shallow=False)
         report = result.degradation
         assert report is not None
         assert report.stages == ["shrunk-fleet", "serial-drain",
                                  "direct-drain"]
         assert report.holes == ()
-        with open(dist + ".holes.json", encoding="utf-8") as f:
-            assert json.load(f)["complete"] is True
+        # A whole checkpoint has no hole receipt.
+        assert not os.path.exists(dist + ".holes.json")
 
 
 class TestServedFleet:
@@ -597,9 +603,8 @@ class TestServedFleet:
     def test_zero_local_workers_wait_and_never_drain(self, tmp_path):
         root = str(tmp_path / "q")
         with pytest.raises(FFISError, match="timeout"):
-            execute_distributed(toy_plan(n_runs=2), root, workers=0,
-                                lease_runs=2, poll_interval=0.02,
-                                timeout=0.3)
+            fleet_sweep(toy_plan(n_runs=2), root, workers=0, lease_runs=2,
+                        poll_interval=0.02, timeout=0.3)
         queue = FileQueue(root)
         counts = queue.counts()
         assert counts["pending"] == counts["total"] == 2
@@ -610,8 +615,7 @@ class TestServedFleet:
 
     def test_negative_local_workers_rejected(self, tmp_path):
         with pytest.raises(FFISError, match="workers must be >= 0"):
-            execute_distributed(toy_plan(n_runs=2), str(tmp_path / "q"),
-                                workers=-1)
+            fleet_sweep(toy_plan(n_runs=2), str(tmp_path / "q"), workers=-1)
 
     def test_served_queue_settles_around_a_poison_lease(self, tmp_path):
         """An attached worker's segment writes for one lease hit ENOSPC;
@@ -686,10 +690,10 @@ class TestChaosSoak:
             FaultSpec(site="replace", kind="crash", match="seg-",
                       probability=0.15, max_faults=1),
         ]
-        result = execute_distributed(
-            plan, str(tmp_path / "q"), workers=2, lease_runs=2,
-            lease_ttl=0.4, results_path=dist, poll_interval=0.02,
-            timeout=180.0, io=FaultyIO(31, faults), quarantine_after=2)
+        result = fleet_sweep(
+            plan, str(tmp_path / "q"), dist, workers=2, lease_runs=2,
+            lease_ttl=0.4, poll_interval=0.02, timeout=180.0,
+            io=FaultyIO(31, faults), quarantine_after=2)
 
         report = result.degradation
         assert report is not None
@@ -725,16 +729,16 @@ class TestChaosSoak:
         dist = str(tmp_path / "dist.jsonl")
         faults = [FaultSpec(site="write", kind="crash",
                             match="seg-lease-00004", probability=1.0)]
-        execute_distributed(
-            plan, root, workers=2, lease_runs=2, lease_ttl=0.4,
-            results_path=dist, poll_interval=0.02, timeout=180.0,
-            io=FaultyIO(31, faults), quarantine_after=2)
+        fleet_sweep(plan, root, dist, workers=2, lease_runs=2,
+                    lease_ttl=0.4, poll_interval=0.02, timeout=180.0,
+                    io=FaultyIO(31, faults), quarantine_after=2)
         quarantine = os.path.join(root, "quarantine")
         (poison,) = os.listdir(quarantine)
         os.unlink(os.path.join(quarantine, poison))  # the cure
-        result = execute_distributed(
-            plan, root, workers=2, lease_runs=2, lease_ttl=0.4,
-            results_path=dist, resume=True, poll_interval=0.02,
-            timeout=180.0)
+        result = fleet_sweep(plan, root, dist, resume=True, workers=2,
+                             lease_runs=2, lease_ttl=0.4,
+                             poll_interval=0.02, timeout=180.0)
         assert result.degradation is None
         assert filecmp.cmp(serial, dist, shallow=False)
+        # The cured checkpoint is whole: its stale hole receipt is gone.
+        assert not os.path.exists(dist + ".holes.json")

@@ -33,6 +33,7 @@ from repro.core.engine import (
     RunSpec,
     SweepCell,
     SweepPlan,
+    TallySink,
     execute_sweep,
     iter_stamped_records,
 )
@@ -43,10 +44,9 @@ from repro.core.engine.dist import (
     FaultSpec,
     FaultyIO,
     FileQueue,
+    FleetExecutor,
     Lease,
     default_lease_runs,
-    execute_distributed,
-    merge_and_write,
     merge_shards,
     plan_manifest,
     run_worker,
@@ -55,7 +55,7 @@ from repro.core.engine.dist import (
 )
 from repro.core.engine.runner import execute_run_spec
 from repro.core.engine.sink import JsonlSink
-from repro.core.outcomes import Outcome, RunRecord
+from repro.core.outcomes import Outcome, OutcomeTally, RunRecord
 from repro.errors import ConfigError, FFISError
 from repro.study import Study, StudySpec
 from repro.study.spec import ModelSpec, TargetSpec
@@ -78,6 +78,13 @@ def toy_plan(n_runs=6, seed=7) -> SweepPlan:
             fault_model=model, n_runs=n_runs, seed=seed))
         cells.append(campaign.plan_cell(key, cache))
     return SweepPlan(cells=tuple(cells))
+
+
+def fleet_sweep(plan, root, results_path=None, *, resume=False, **knobs):
+    """``execute_sweep`` on a lease-queue fleet at *root*; *resume*
+    resumes both the checkpoint and the queue."""
+    return execute_sweep(plan, results_path=results_path, resume=resume,
+                         executor=FleetExecutor(root, resume=resume, **knobs))
 
 
 def synthetic_plan(sizes: Tuple[int, ...]) -> SweepPlan:
@@ -224,7 +231,8 @@ class TestFileQueue:
             seen.append(claim.lease.lease_id)
             settle(queue, claim)
         assert seen == [lease.lease_id for lease in leases]
-        assert queue.all_done() and queue.idle()
+        assert queue.all_done()
+        assert queue.counts()["pending"] == queue.counts()["leased"] == 0
 
     def test_bad_worker_ids_rejected(self, tmp_path):
         _, _, queue = self.queue(tmp_path)
@@ -430,17 +438,6 @@ class TestMerge:
         with pytest.raises(FFISError, match="no campaign_id"):
             merge_shards(plan, [])
 
-    def test_merge_and_write_refuses_a_populated_target(self, tmp_path):
-        plan = synthetic_plan((2,))
-        paths = self.shards(tmp_path, plan)
-        target = tmp_path / "out.jsonl"
-        target.write_text("occupied\n", encoding="utf-8")
-        with pytest.raises(FFISError, match="already contains results"):
-            merge_and_write(plan, paths, str(target))
-        assert target.read_text(encoding="utf-8") == "occupied\n"
-        merge_and_write(plan, paths, str(target), overwrite=True)
-        assert target.read_text(encoding="utf-8") != "occupied\n"
-
 
 class TestDistributedByteIdentity:
     """The tentpole contract, end to end on real ToyApp campaigns."""
@@ -459,28 +456,27 @@ class TestDistributedByteIdentity:
         stats = run_worker(root, plan, "solo", max_idle_polls=3)
         assert stats.runs == len(plan) and stats.retries == 0
         dist_path = str(tmp_path / "dist.jsonl")
-        merged, merge_stats = coordinator.finish(results_path=dist_path)
+        merged, merge_stats = coordinator.finish()
+        fleet_sweep(plan, root, dist_path, resume=True, workers=0,
+                    lease_runs=2)
         assert filecmp.cmp(serial_path, dist_path, shallow=False)
         assert merged == serial.records
         assert merge_stats.duplicates == 0
         assert merge_stats.total == len(plan)
 
-    def test_finish_with_results_path_merges_once(self, tmp_path,
-                                                  monkeypatch):
-        """One merge feeds both the returned records and the file; the
-        result equals a separate merge plus merge_and_write."""
+    def test_fleet_sweep_merges_once(self, tmp_path, monkeypatch):
+        """One merge feeds both the sweep's records and its checkpoint,
+        which equals the serial one."""
         import repro.core.engine.dist.coordinator as coordinator_module
         import repro.core.engine.dist.merge as merge_module
 
         plan = toy_plan()
+        serial_path, _ = self.serial(tmp_path, plan)
         root = str(tmp_path / "queue")
         coordinator = Coordinator(plan, root, lease_runs=2)
         coordinator.post()
         run_worker(root, plan, "solo", max_idle_polls=3)
-        shards = coordinator.queue.shard_paths()
-        want_path = str(tmp_path / "want.jsonl")
-        _, want_stats = merge_and_write(plan, shards, want_path)
-        want_records, _ = merge_shards(plan, shards)
+        want_records, _ = merge_shards(plan, coordinator.queue.shard_paths())
 
         calls = []
 
@@ -491,22 +487,30 @@ class TestDistributedByteIdentity:
         monkeypatch.setattr(coordinator_module, "merge_shards", counting)
         monkeypatch.setattr(merge_module, "merge_shards", counting)
         got_path = str(tmp_path / "got.jsonl")
-        records, stats = coordinator.finish(results_path=got_path)
+        result = fleet_sweep(plan, root, got_path, resume=True, workers=0,
+                             lease_runs=2)
         assert len(calls) == 1
-        assert records == want_records
-        assert stats == want_stats
-        assert filecmp.cmp(want_path, got_path, shallow=False)
+        assert result.records == want_records
+        assert filecmp.cmp(serial_path, got_path, shallow=False)
 
     def test_forked_fleet_matches_serial(self, tmp_path):
         plan = toy_plan()
         serial_path, serial = self.serial(tmp_path, plan)
         dist_path = str(tmp_path / "dist.jsonl")
-        result = execute_distributed(
-            plan, str(tmp_path / "queue"), workers=2, lease_runs=2,
-            results_path=dist_path, timeout=120.0)
+        result = fleet_sweep(plan, str(tmp_path / "queue"), dist_path,
+                             workers=2, lease_runs=2, timeout=120.0)
         assert filecmp.cmp(serial_path, dist_path, shallow=False)
         assert result.records == serial.records
         assert result.executed == len(plan)
+
+    def test_fleet_sweep_feeds_extra_sinks(self, tmp_path):
+        plan = toy_plan()
+        _, serial = self.serial(tmp_path, plan)
+        tally = TallySink()
+        execute_sweep(plan, sinks=[tally], executor=FleetExecutor(
+            str(tmp_path / "queue"), lease_runs=2, timeout=120.0))
+        assert tally.tally == OutcomeTally.from_records(
+            [r for records in serial.records.values() for r in records])
 
     def test_forked_worker_is_placed_before_it_drains(self, monkeypatch):
         """The fleet's fork target moves the worker to its own CPU, as
@@ -532,8 +536,7 @@ class TestDistributedByteIdentity:
         occupied = tmp_path / "dist.jsonl"
         occupied.write_text("occupied\n", encoding="utf-8")
         with pytest.raises(FFISError, match="--resume"):
-            execute_distributed(plan, str(tmp_path / "queue"),
-                                results_path=str(occupied))
+            fleet_sweep(plan, str(tmp_path / "queue"), str(occupied))
         assert occupied.read_text(encoding="utf-8") == "occupied\n"
 
     def test_resume_settled_queue_executes_nothing(self, tmp_path):
@@ -546,9 +549,8 @@ class TestDistributedByteIdentity:
         # Coordinator "crashed" before finish(); a resumed campaign
         # finds every lease settled and merges without re-executing.
         dist_path = str(tmp_path / "dist.jsonl")
-        result = execute_distributed(plan, root, workers=2, lease_runs=2,
-                                     results_path=dist_path, resume=True,
-                                     timeout=120.0)
+        result = fleet_sweep(plan, root, dist_path, resume=True, workers=2,
+                             lease_runs=2, timeout=120.0)
         assert filecmp.cmp(serial_path, dist_path, shallow=False)
         assert result.executed == len(plan)
 
@@ -627,7 +629,9 @@ class TestWorkerDeath:
                            max_idle_polls=50)
         assert stats.runs >= len(plan) - wa_lines
         dist_path = str(tmp_path / "dist.jsonl")
-        merged, merge_stats = coordinator.finish(results_path=dist_path)
+        _, merge_stats = coordinator.finish()
+        fleet_sweep(plan, root, dist_path, resume=True, workers=0,
+                    lease_runs=2)
         assert filecmp.cmp(serial_path, dist_path, shallow=False)
         # Zero lost: byte identity already proves it.  Zero duplicated:
         # segments publish atomically per completed lease and the
@@ -640,7 +644,7 @@ class TestWorkerDeath:
         assert len(pairs) == len(set(pairs)) == len(plan)
 
     def test_supervisor_respawns_killed_workers(self, tmp_path):
-        """execute_distributed survives losing a worker mid-campaign:
+        """The fleet survives losing a worker mid-campaign:
         the supervisor respawns, expiry reassigns, bytes still match."""
         plan = slow_plan(n_runs=3)
         serial_path = str(tmp_path / "serial.jsonl")
@@ -650,9 +654,9 @@ class TestWorkerDeath:
             target=_kill_one_worker_once, args=(root,), daemon=True)
         killer.start()
         dist_path = str(tmp_path / "dist.jsonl")
-        result = execute_distributed(
-            plan, root, workers=2, lease_runs=2, lease_ttl=1.0,
-            results_path=dist_path, poll_interval=0.02, timeout=120.0)
+        result = fleet_sweep(plan, root, dist_path, workers=2, lease_runs=2,
+                             lease_ttl=1.0, poll_interval=0.02,
+                             timeout=120.0)
         killer.join(timeout=60)
         assert filecmp.cmp(serial_path, dist_path, shallow=False)
         assert result.executed == len(plan)
@@ -686,7 +690,9 @@ class TestSettlePoint:
         assert queue.counts()["leased"] == 0
         run_worker(root, plan, "wb", max_idle_polls=3)
         dist_path = str(tmp_path / "dist.jsonl")
-        _, stats = coordinator.finish(results_path=dist_path)
+        _, stats = coordinator.finish()
+        fleet_sweep(plan, root, dist_path, resume=True, workers=0,
+                    lease_runs=2)
         assert stats.duplicates == 0
         assert filecmp.cmp(serial_path, dist_path, shallow=False)
 
@@ -721,7 +727,9 @@ class TestSettlePoint:
         queue.complete(slow)
 
         dist_path = str(tmp_path / "dist.jsonl")
-        _, stats = coordinator.finish(results_path=dist_path)
+        _, stats = coordinator.finish()
+        fleet_sweep(plan, root, dist_path, resume=True, workers=0,
+                    lease_runs=2)
         assert stats.duplicates == len(lease)
         assert filecmp.cmp(serial_path, dist_path, shallow=False)
 
@@ -729,7 +737,7 @@ class TestSettlePoint:
 def _kill_one_worker_once(root: str) -> None:
     """Wait until some worker has written a shard line, then SIGKILL
     one live worker process.  Every child of the test process during
-    ``execute_distributed`` is a campaign worker, so any live child is
+    a fleet sweep is a campaign worker, so any live child is
     a valid victim -- the supervisor must respawn it and expiry must
     reassign whatever it held."""
     deadline = time.time() + 60
@@ -787,15 +795,14 @@ class TestStudyDistributed:
                     if name.startswith("repro-queue-")]
 
     def test_progress_counts_runs_up_to_the_total(self, tmp_path):
+        """As with every backend, progress fires once per emitted
+        record."""
         plan = Study(self.toy_spec(), apps=self.apps()).plan()
         calls = []
         plan.execute(hosts=2, queue_root=str(tmp_path / "queue"),
                      progress=lambda done, total: calls.append((done, total)))
         total = len(plan)
-        assert calls and calls[-1] == (total, total)
-        assert {t for _, t in calls} == {total}
-        done = [d for d, _ in calls]
-        assert done == sorted(done)
+        assert calls == [(done, total) for done in range(1, total + 1)]
 
     def test_knobs_that_do_not_apply_are_rejected(self, tmp_path):
         """queue_root and quarantine_after need hosts > 1 and workers
@@ -812,10 +819,22 @@ class TestStudyDistributed:
                 plan.execute(**knobs)
         assert not os.path.exists(queue)
 
-    def test_resume_without_queue_root_is_an_error(self, tmp_path):
+    def test_resume_without_queue_root_continues_the_checkpoint(
+            self, tmp_path):
+        """A fleet resume on a throwaway queue continues the checkpoint:
+        only the missing runs are emitted, and the bytes are serial."""
+        serial_path = str(tmp_path / "serial.jsonl")
+        Study(self.toy_spec(), apps=self.apps()) \
+            .run(results_path=serial_path)
+        with open(serial_path, "rb") as f:
+            lines = f.read().splitlines(keepends=True)
+        dist_path = tmp_path / "dist.jsonl"
+        dist_path.write_bytes(b"".join(lines[:5]))
         plan = Study(self.toy_spec(), apps=self.apps()).plan()
-        with pytest.raises(FFISError, match="queue_root"):
-            plan.execute(hosts=2, resume=True)
+        result = plan.execute(hosts=2, results_path=str(dist_path),
+                              resume=True)
+        assert result.executed == len(plan) - 5
+        assert filecmp.cmp(serial_path, str(dist_path), shallow=False)
 
     def test_figure7_distributed_matches_serial_fixture(self, tmp_path):
         """The ISSUE's acceptance criterion: a 2-worker distributed

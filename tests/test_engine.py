@@ -19,10 +19,12 @@ from repro.core.config import CampaignConfig
 from repro.core.engine import (
     JsonlSink,
     ParallelExecutor,
+    RunPlan,
     RunSpec,
     SerialExecutor,
+    SweepCell,
+    SweepPlan,
     TallySink,
-    completed_indices,
     execute_plan,
     load_records,
     make_executor,
@@ -32,6 +34,12 @@ from repro.core.engine import (
 from repro.core.metadata_campaign import MetadataCampaign
 from repro.core.outcomes import Outcome, OutcomeTally, RunRecord
 from repro.errors import ConfigError, FFISError
+
+
+def one_cell(key, context=None):
+    """A one-cell sweep plan: what an executor reads contexts from."""
+    return SweepPlan(cells=(SweepCell(key, RunPlan(context=context,
+                                                   specs=())),))
 
 
 @pytest.fixture
@@ -62,11 +70,10 @@ class TestExecutorEquivalence:
 
     def test_explicit_executors_interchangeable(self, tiny_nyx, bf_config):
         plan = Campaign(tiny_nyx, bf_config).plan()
-        contexts = {"plan": plan.context}
+        sweep = SweepPlan(cells=(SweepCell("plan", plan),))
         items = [("plan", spec) for spec in plan.specs]
-        serial = list(SerialExecutor().map_tagged(contexts, items))
-        parallel = list(ParallelExecutor(workers=3).map_tagged(contexts,
-                                                               items))
+        serial = list(SerialExecutor().map_tagged(sweep, items))
+        parallel = list(ParallelExecutor(workers=3).map_tagged(sweep, items))
         assert serial == parallel
 
     def test_metadata_sweep_parallel_matches_serial(self, tiny_nyx):
@@ -156,7 +163,7 @@ class TestBoundedSubmission:
                        specs=tuple(RunSpec(run_index=i) for i in range(n)))
         executor = ParallelExecutor(workers=2, chunk_size=8)
         records = [record for _, record in executor.map_tagged(
-            {"plan": plan.context}, [("plan", spec) for spec in plan.specs])]
+            one_cell("plan"), [("plan", spec) for spec in plan.specs])]
         pool = _InstrumentedPool.last
         assert [r.run_index for r in records] == list(range(n))
         # Chunked dispatch: ceil(n / chunk_size) futures, not n.
@@ -169,7 +176,7 @@ class TestBoundedSubmission:
         n = 300
         items = [("cell", RunSpec(run_index=i)) for i in range(n)]
         executor = ParallelExecutor(workers=3)
-        results = list(executor.map_tagged({"cell": None}, iter(items)))
+        results = list(executor.map_tagged(one_cell("cell"), iter(items)))
         pool = _InstrumentedPool.last
         assert [r.run_index for _, r in results] == list(range(n))
         assert {key for key, _ in results} == {"cell"}
@@ -186,14 +193,14 @@ class TestPoolShutdown:
 
     def test_full_drain_waits(self):
         records = list(ParallelExecutor(workers=2, chunk_size=4).map_tagged(
-            {"cell": None}, self.ITEMS))
+            one_cell("cell"), self.ITEMS))
         assert len(records) == len(self.ITEMS)
         assert _InstrumentedPool.last.shutdowns == [
             {"wait": True, "cancel_futures": False}]
 
     def test_closed_iteration_cancels(self):
         stream = ParallelExecutor(workers=2, chunk_size=4).map_tagged(
-            {"cell": None}, self.ITEMS)
+            one_cell("cell"), self.ITEMS)
         assert next(stream)[1].run_index == 0
         assert _InstrumentedPool.last.shutdowns == []
         stream.close()
@@ -215,9 +222,9 @@ class TestPoolCap:
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         records = list(ParallelExecutor(workers=4).map_tagged(
-            {"cell": None}, self.ITEMS))
+            one_cell("cell"), self.ITEMS))
         assert records == list(SerialExecutor().map_tagged(
-            {"cell": None}, self.ITEMS))
+            one_cell("cell"), self.ITEMS))
         return _InstrumentedPool.last
 
     def test_two_cpus_fork_two_processes(self, monkeypatch):
@@ -235,7 +242,7 @@ class TestPoolCap:
 
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        list(ParallelExecutor(workers=4).map_tagged({"cell": None},
+        list(ParallelExecutor(workers=4).map_tagged(one_cell("cell"),
                                                     self.ITEMS))
         assert _InstrumentedPool.last.max_workers == 3
 
@@ -298,7 +305,7 @@ class TestCheckpointResume:
         fresh = Campaign(tiny_nyx, bf_config).run()
         # "Kill" the campaign after 2 of 6 runs ...
         Campaign(tiny_nyx, bf_config).run(n_runs=2, results_path=path)
-        assert completed_indices(path) == {0, 1}
+        assert {r.run_index for r in load_records(path)} == {0, 1}
         # ... and resume: only runs 2..5 execute, the merge is identical.
         seen = []
         resumed = Campaign(tiny_nyx, bf_config).run(
@@ -324,7 +331,7 @@ class TestCheckpointResume:
         Campaign(tiny_nyx, bf_config).run(n_runs=3, results_path=path)
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"v": 1, "run_index": 3, "outc')   # killed mid-write
-        assert completed_indices(path) == {0, 1, 2}
+        assert {r.run_index for r in load_records(path)} == {0, 1, 2}
         resumed = Campaign(tiny_nyx, bf_config).run(results_path=path,
                                                     resume=True)
         assert resumed.records == Campaign(tiny_nyx, bf_config).run().records
@@ -446,14 +453,14 @@ class TestCheckpointResume:
             Campaign(tiny_nyx, bf_config).run(n_runs=2, results_path=path)
         with open(path, "rb") as f:
             assert f.read() == before
-        assert completed_indices(path) == {0, 1, 2, 3}
+        assert {r.run_index for r in load_records(path)} == {0, 1, 2, 3}
 
     def test_empty_file_may_be_started_in_place(self, tiny_nyx, bf_config,
                                                 tmp_path):
         path = str(tmp_path / "results.jsonl")
         open(path, "w").close()
         Campaign(tiny_nyx, bf_config).run(n_runs=2, results_path=path)
-        assert completed_indices(path) == {0, 1}
+        assert {r.run_index for r in load_records(path)} == {0, 1}
 
 
 class TestStreamingCheckpointReads:
@@ -512,7 +519,7 @@ class TestStreamingCheckpointReads:
         resumed = Campaign(tiny_nyx, bf_config).run(results_path=path,
                                                     resume=True)
         assert len(resumed.records) == 6
-        assert completed_indices(path) == set(range(6))
+        assert {r.run_index for r in load_records(path)} == set(range(6))
 
     def test_partial_tail_trim_is_bounded(self, tiny_nyx, bf_config,
                                           tmp_path, stream_only):
@@ -694,7 +701,7 @@ class TestCliEngineSurface:
                                   "--runs", "5", "--seed", "9",
                                   "--out", path, "--resume")
         assert code == 0
-        assert sorted(completed_indices(path)) == [0, 1, 2, 3, 4]
+        assert sorted(r.run_index for r in load_records(path)) == [0, 1, 2, 3, 4]
 
     def test_campaign_metadata_mode(self):
         code, text = self.run_cli("campaign", "--app", "nyx",

@@ -26,6 +26,8 @@ from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.engine import executor as executor_module
 from repro.core.engine.executor import ParallelExecutor, SerialExecutor
+from repro.core.engine.plan import RunPlan
+from repro.core.engine.sweep import SweepCell, SweepPlan
 from repro.errors import ConfigError
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -83,8 +85,10 @@ class TestTaskPayloadSize:
                                context={"golden_image": b"x" * payload_bytes})
         executor = ParallelExecutor(workers=2, chunk_size=4,
                                     start_method=start_method)
+        sweep = SweepPlan(cells=(SweepCell("plan", RunPlan(
+            context=plan.context, specs=())),))
         records = [record for _, record in executor.map_tagged(
-            {"plan": plan.context}, [("plan", spec) for spec in plan.specs])]
+            sweep, [("plan", spec) for spec in plan.specs])]
         assert records == plan.specs
         pool = _RecordingPool.last
         return pool.initargs_size, tuple(pool.submit_sizes)
@@ -127,13 +131,13 @@ class TestStartMethodParity:
                         reason="needs both fork and spawn")
     def test_fork_and_spawn_records_identical_to_serial(self):
         plan = self.plan()
-        contexts = {"plan": plan.context}
+        sweep = SweepPlan(cells=(SweepCell("plan", plan),))
         items = [("plan", spec) for spec in plan.specs]
-        serial = list(SerialExecutor().map_tagged(contexts, items))
+        serial = list(SerialExecutor().map_tagged(sweep, items))
         fork = list(ParallelExecutor(
-            workers=2, start_method="fork").map_tagged(contexts, items))
+            workers=2, start_method="fork").map_tagged(sweep, items))
         spawn = list(ParallelExecutor(
-            workers=2, start_method="spawn").map_tagged(contexts, items))
+            workers=2, start_method="spawn").map_tagged(sweep, items))
         assert fork == serial
         assert spawn == serial
 

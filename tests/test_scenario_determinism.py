@@ -30,7 +30,7 @@ from repro.core.engine import (
     load_records,
     load_records_by_campaign,
 )
-from repro.core.engine.dist import execute_distributed
+from repro.core.engine.dist import FleetExecutor
 from repro.core.engine.sweep import ProfileGoldenCache
 from repro.core.outcomes import Outcome
 from repro.core.scenario import (
@@ -167,9 +167,10 @@ def test_serial_parallel_fused_checkpoints_are_identical(
         if prefix is not None:
             with open(path, "wb") as f:
                 f.write(prefix)
-        execute_distributed(fused, str(tmp / f"{name}-queue"), workers=2,
-                            results_path=path, resume=prefix is not None,
-                            timeout=120.0)
+        resume = prefix is not None
+        execute_sweep(fused, results_path=path, resume=resume,
+                      executor=FleetExecutor(str(tmp / f"{name}-queue"),
+                                             resume=resume, timeout=120.0))
         assert filecmp.cmp(paths["fused"], path, shallow=False), name
 
 

@@ -11,7 +11,10 @@ The two load-bearing contracts:
   index) pairs and reproduces the uninterrupted records.
 """
 
+import filecmp
 import io
+import json
+import os
 
 import pytest
 
@@ -20,13 +23,16 @@ from repro.cli import main
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.engine import (
+    Executor,
     JsonlSink,
     ProfileGoldenCache,
+    SerialExecutor,
     SweepCell,
     SweepPlan,
     execute_sweep,
     load_records_by_campaign,
 )
+from repro.core.engine.dist import DegradationReport
 from repro.core.metadata_campaign import MetadataCampaign
 from repro.core.outcomes import Outcome, RunRecord
 from repro.errors import FFISError
@@ -382,3 +388,73 @@ class TestResumedRecordsReachSinks:
         assert resumed.executed == len(lines) - 3
         assert sink.tally == expected
         assert resumed.records == full.records
+        # The remainder is appended in the uninterrupted sweep's order.
+        with open(path, "rb") as f:
+            assert f.readlines() == lines
+
+
+class _Dropping(Executor):
+    """Serial execution that never yields the item *drop* and, when
+    *named*, reports it as a hole."""
+
+    def __init__(self, drop, named):
+        self.drop, self.named = drop, named
+
+    def map_tagged(self, plan, items):
+        if self.named:
+            self.report = DegradationReport(holes=("{}:{}".format(*self.drop),))
+        yield from SerialExecutor().map_tagged(
+            plan, [(key, spec) for key, spec in items
+                   if (key, spec.run_index) != self.drop])
+
+
+class TestExecutorSeam:
+    """What ``execute_sweep`` demands of any backend: every item, or a
+    named hole for each one it drops."""
+
+    def serial(self, tmp_path):
+        from tests.test_dist import toy_plan
+
+        path = str(tmp_path / "serial.jsonl")
+        execute_sweep(toy_plan(), results_path=path)
+        with open(path, "rb") as f:
+            return toy_plan(), path, f.read().splitlines(keepends=True)
+
+    def test_an_unnamed_missing_run_raises(self, tmp_path):
+        plan, _, _ = self.serial(tmp_path)
+        with pytest.raises(FFISError, match="named none of them as holes"):
+            execute_sweep(plan, executor=_Dropping(("DW", 1), named=False),
+                          results_path=str(tmp_path / "out.jsonl"))
+
+    def test_a_named_hole_is_reported_and_receipted(self, tmp_path):
+        plan, _, lines = self.serial(tmp_path)
+        path = str(tmp_path / "out.jsonl")
+        executor = _Dropping(("DW", 1), named=True)
+        result = execute_sweep(plan, executor=executor, results_path=path)
+        assert result.degradation is executor.report
+        assert [r.run_index for r in result.records["DW"]] == [0, 2, 3, 4, 5]
+        with open(path, "rb") as f:
+            # The rest in plan order: the serial lines, DW:1's (the
+            # fourth) left out.
+            assert f.read() == b"".join(lines[:3] + lines[4:])
+        with open(path + ".holes.json", encoding="utf-8") as f:
+            receipt = json.load(f)
+        assert receipt["complete"] is False
+        assert receipt["missing_runs"] == ["DW:1"]
+
+    def test_a_whole_resume_rewrites_in_plan_order_and_drops_the_receipt(
+            self, tmp_path):
+        """A checkpoint with a gap (a partial campaign's hole) and its
+        receipt: the resume that fills the gap leaves the serial bytes
+        and no receipt."""
+        plan, serial_path, lines = self.serial(tmp_path)
+        path = str(tmp_path / "out.jsonl")
+        with open(path, "wb") as f:
+            f.write(b"".join(lines[:3] + lines[4:]))
+        receipt = path + ".holes.json"
+        with open(receipt, "w", encoding="utf-8") as f:
+            json.dump({"complete": False, "missing_runs": ["DW:1"]}, f)
+        result = execute_sweep(plan, results_path=path, resume=True)
+        assert result.executed == 1
+        assert filecmp.cmp(serial_path, path, shallow=False)
+        assert not os.path.exists(receipt)

@@ -28,7 +28,11 @@ re-executing the whole prefix.  Step contract:
   offers a product with :meth:`HpcApplication.keep_golden`, which keeps
   it on the replay image only during the golden capture, and reads it
   back with :meth:`HpcApplication.golden_memo`, which answers only in a
-  replayed run, so cold execution stays the from-scratch reference.
+  replayed run, so cold execution stays the from-scratch reference;
+* a step of a replayed run may defer its work to the end of its
+  execution window through the window seam (:attr:`HpcApplication.window`,
+  :class:`Park`), so one computation can serve every run of the window
+  that reached it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,17 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.outcomes import Outcome
 from repro.fusefs.mount import MountPoint
@@ -162,11 +176,47 @@ class GoldenRecord:
         return [span.name for span in self.phases]
 
 
+class Park(BaseException):
+    """Raised by a step to park its run in an execution window's first
+    pass (:func:`repro.core.engine.runner.execute_window`): the window
+    executes the run again from scratch in its second pass, when the
+    step can serve every input its window parked at once.  It derives
+    from ``BaseException`` so that neither the runner's crash taxonomy
+    nor a step's own ``except`` clause can turn it into an outcome."""
+
+
+@dataclass
+class Window:
+    """One execution window's state on an application.
+
+    ``parking`` holds during the window's first pass.  ``parked`` maps
+    each input a parked run left to what the step needs to serve it,
+    keyed by the input's exact value (never by a hash alone);
+    ``results`` holds what the second pass computed from them, under
+    the same keys.  The window clears both when it ends, so no result
+    outlives it.
+    """
+
+    parking: bool = True
+    parked: Dict[Hashable, object] = field(default_factory=dict)
+    results: Dict[Hashable, object] = field(default_factory=dict)
+
+    def clear(self) -> None:
+        self.parked.clear()
+        self.results.clear()
+
+
 class HpcApplication(ABC):
     """Base class for applications characterized by FFIS campaigns."""
 
     #: Short identifier used in reports ("nyx", "qmcpack", "montage").
     name: str = "app"
+
+    #: The execution window of the run in flight, while
+    #: :func:`~repro.core.engine.runner.execute_window` executes one of
+    #: its runs; ``None`` for every other execution (a direct
+    #: ``execute_run_spec`` call, the golden capture).
+    window: Optional[Window] = None
 
     def __init__(self) -> None:
         self._phase_log: List[PhaseSpan] = []

@@ -20,7 +20,7 @@ detected; missing/unreadable mosaic → crash.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,6 +79,7 @@ class MontageApplication(HpcApplication):
         self.seed = seed
         self.sky_config = sky_config
         self._tiles: List[RawTile] = make_raw_tiles(sky_config, seed)
+        self._steps: Optional[Tuple[RunStep, ...]] = None
 
     @property
     def tiles(self) -> List[RawTile]:
@@ -110,7 +111,11 @@ class MontageApplication(HpcApplication):
         ``mBgExec`` keeps its fit/apply seam: a boundary between the
         sigma-clipped plane fitting (the stage's dominant cost) and the
         corrected-image writes it feeds.
+
+        Being static, the tuple is built on the first call and kept.
         """
+        if self._steps is not None:
+            return self._steps
         n = len(self._tiles)
         steps = [RunStep("stage_raw", "stage_raw", self._step_stage_raw)]
         for i in range(n):
@@ -123,7 +128,8 @@ class MontageApplication(HpcApplication):
         steps.extend((RunStep("mBg_fit", "mBgExec", self._step_mbg_fit),
                       RunStep("mBg_apply", "mBgExec", self._step_mbg_apply),
                       RunStep("mAdd", "mAdd", self._step_madd)))
-        return tuple(steps)
+        self._steps = tuple(steps)
+        return self._steps
 
     def _step_stage_raw(self, mp: MountPoint, carry) -> None:
         mp.makedirs(RAW_DIR)

@@ -21,10 +21,19 @@ detected otherwise; analysis failures and library errors are crashes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
-from repro.apps.base import GoldenRecord, HpcApplication, RunStep
-from repro.apps.qmcpack.dmc import DmcParams, Mark, Trajectory, run_dmc
+import numpy as np
+
+from repro.apps.base import GoldenRecord, HpcApplication, Park, RunStep, Window
+from repro.apps.qmcpack.dmc import (
+    DmcParams,
+    Mark,
+    Trajectory,
+    initial_population,
+    run_dmc,
+    run_dmc_batch,
+)
 from repro.apps.qmcpack.qmca import EnergyEstimate, analyze_file
 from repro.apps.qmcpack.scalars import write_scalars
 from repro.apps.qmcpack.vmc import VmcParams, run_vmc
@@ -72,6 +81,15 @@ class QmcpackApplication(HpcApplication):
     (:meth:`execute`, which ``--no-replay`` forces) always projects to
     the end without following: it stays the from-scratch reference
     replayed records are checked against.
+
+    Inside an execution window
+    (:func:`~repro.core.engine.runner.execute_window`) a replayed run
+    that reaches a live ``dmc_compute`` parks there in the window's
+    first pass.  In its second pass the first parked run projects every
+    walker set the window parked as one batch
+    (:func:`~repro.apps.qmcpack.dmc.run_dmc_batch`), and each parked
+    run takes its own set's projection, which equals the one it would
+    have made alone.  Cold runs and the golden capture never park.
     """
 
     name = "qmcpack"
@@ -128,17 +146,67 @@ class QmcpackApplication(HpcApplication):
         The read always happens, so file-system operations and decode
         failures are those of a fresh projection.  The golden capture
         records one mark per block and keeps the trajectory; a replayed
-        run follows it and stops where it rejoins it; a cold run does
-        neither.
+        run follows it and stops where it rejoins it, and inside an
+        execution window it projects in its window's batch; a cold run
+        does neither.
         """
         walkers = Hdf5Reader(mp, CONFIG_FILE).read(WALKER_DATASET)
+        follow = self.golden_memo("dmc")
+        if follow is not None and self.window is not None:
+            carry["dmc_rows"] = self._windowed_rows(self.window, walkers,
+                                                    follow)
+            return
         marks: Optional[List[Mark]] = [] if self.capturing_golden else None
-        dmc_rng = RngStream(self.seed, "qmcpack", "dmc").generator()
-        final, rows = run_dmc(self.wf, walkers, self.dmc_params, dmc_rng,
-                              follow=self.golden_memo("dmc"), marks=marks)
+        final, rows = run_dmc(self.wf, walkers, self.dmc_params,
+                              self._dmc_rng(), follow=follow, marks=marks)
         if marks is not None:
             self.keep_golden("dmc", Trajectory(final, tuple(rows), tuple(marks)))
         carry["dmc_rows"] = rows
+
+    def _dmc_rng(self) -> np.random.Generator:
+        return RngStream(self.seed, "qmcpack", "dmc").generator()
+
+    def _windowed_rows(self, window: Window, walkers: np.ndarray,
+                       follow: Trajectory) -> list:
+        """A replayed run's rows inside an execution window: park in its
+        first pass; in its second, take this walker set's projection
+        from the window's batch (the first run to ask projects every
+        parked set).  A set the window never parked projects alone."""
+        key = (walkers.dtype.str, walkers.shape, walkers.tobytes())
+        if window.parking:
+            window.parked[key] = (walkers, follow)
+            raise Park("dmc_compute")
+        if window.parked and not window.results:
+            window.results.update(self._project_parked(window.parked))
+        result = window.results.get(key)
+        if result is None:
+            return run_dmc(self.wf, walkers, self.dmc_params,
+                           self._dmc_rng(), follow=follow)[1]
+        if isinstance(result, Exception):
+            raise result
+        return result[1]
+
+    def _project_parked(self, parked: Mapping[Hashable, tuple]
+                        ) -> Dict[Hashable, object]:
+        """Every parked walker set's projection, or the exception its
+        own projection raises; sets of one shape that follow one
+        trajectory share a batch."""
+        results: Dict[Hashable, object] = {}
+        batches: Dict[tuple, List[Tuple[Hashable, np.ndarray]]] = {}
+        for key, (walkers, follow) in parked.items():
+            try:
+                population = initial_population(walkers)
+            except ValueError as exc:
+                results[key] = exc
+                continue
+            batches.setdefault((population.shape, follow), []).append(
+                (key, population))
+        for (_, follow), members in batches.items():
+            projections = run_dmc_batch(
+                self.wf, [population for _, population in members],
+                self.dmc_params, self._dmc_rng(), follow=follow)
+            results.update(zip([key for key, _ in members], projections))
+        return results
 
     def _step_dmc_write(self, mp: MountPoint, carry) -> None:
         write_scalars(mp, S001_SCALARS, carry["dmc_rows"],

@@ -1,8 +1,9 @@
 """The distributed worker loop: claim, execute, stream, settle.
 
 A worker is deliberately boring: it claims one lease at a time, executes
-the lease's specs through the same :func:`execute_run_spec` every other
-executor uses, streams each record into a per-lease **segment** file,
+the lease's specs as one execution window through the same
+:func:`~repro.core.engine.runner.execute_window` every other executor
+uses, streams each record into a per-lease **segment** file,
 heartbeats its claim, publishes the segment atomically -- the publish
 is what settles the lease -- and releases its claim.  All the
 interesting guarantees live elsewhere --
@@ -37,7 +38,7 @@ from typing import IO, Optional
 from repro.core.engine.dist.chaos import ChaosCrash, QueueIO
 from repro.core.engine.dist.queue import FileQueue
 from repro.core.engine.dist.retry import RetryPolicy
-from repro.core.engine.runner import execute_run_spec
+from repro.core.engine.runner import execute_window
 from repro.core.engine.sink import format_stamped_line
 from repro.core.engine.sweep import SweepPlan, _boundary_sorted
 from repro.errors import FFISError
@@ -159,8 +160,9 @@ def run_worker(root: str, plan: SweepPlan, worker_id: str, *,
             # restore the same golden snapshot execute back to back.
             # Segment order is free -- the merge step rewrites records
             # in interleaved plan order regardless.
-            for spec in _boundary_sorted(context, specs):
-                record = execute_run_spec(context, spec)
+            window = [(cell.key, spec)
+                      for spec in _boundary_sorted(context, specs)]
+            for _, record in execute_window({cell.key: context}, window):
                 writer.emit(record, lease.campaign_id)
                 queue.heartbeat(claim)
                 stats.runs += 1

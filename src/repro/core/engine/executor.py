@@ -10,10 +10,16 @@ sweep.  Runs are deterministic in their spec, so every backend yields
 the same records, and :func:`~repro.core.engine.sweep.execute_sweep`
 -- the one owner of checkpointing, ordering and resume -- treats them
 all alike.  A backend that settles around lost runs names them on its
-:attr:`Executor.report`.
+:attr:`Executor.report`.  Every backend executes its items in windows
+through :func:`~repro.core.engine.runner.execute_window` -- the serial
+loop a window of
+:data:`~repro.core.engine.sweep.BOUNDARY_SORT_WINDOW` items at a time,
+a pool worker its chunk, a fleet worker its lease -- so runs that park
+in a window's first pass (a replayed QMCPACK run at its DMC projection)
+execute together in its second.
 
-:class:`SerialExecutor` is the reference implementation -- a plain
-in-process loop.  The lease-queue fleet
+:class:`SerialExecutor` is the reference implementation -- an
+in-process loop over windows.  The lease-queue fleet
 (:class:`~repro.core.engine.dist.coordinator.FleetExecutor`) is the
 third backend.  :class:`ParallelExecutor` fans the same items out
 over a :class:`concurrent.futures.ProcessPoolExecutor` using a
@@ -111,12 +117,12 @@ def _contexts(plan) -> dict:
 
 
 def _run_span(start: int, stop: int) -> list:
-    """Execute work items ``[start, stop)`` against the worker state."""
-    from repro.core.engine.runner import execute_run_spec
+    """Execute work items ``[start, stop)`` against the worker state, as
+    one execution window."""
+    from repro.core.engine.runner import execute_window
 
     contexts, items = _WORKER_STATE
-    return [(key, execute_run_spec(contexts[key], spec))
-            for key, spec in items[start:stop]]
+    return list(execute_window(contexts, items[start:stop]))
 
 
 class Executor(ABC):
@@ -142,15 +148,23 @@ class Executor(ABC):
 
 
 class SerialExecutor(Executor):
-    """The reference backend: execute specs one after another, in item
-    order."""
+    """The reference backend: execute specs in process, one execution
+    window of :data:`~repro.core.engine.sweep.BOUNDARY_SORT_WINDOW` items
+    after another.  A window yields its records as its runs finish, so
+    the runs it parks come last: records follow item order only across
+    windows."""
 
     def map_tagged(self, plan, items) -> Iterator[Tuple[str, RunRecord]]:
-        from repro.core.engine.runner import execute_run_spec
+        from repro.core.engine.runner import execute_window
+        from repro.core.engine.sweep import BOUNDARY_SORT_WINDOW
 
         contexts = _contexts(plan)
-        for key, spec in items:
-            yield key, execute_run_spec(contexts[key], spec)
+        items = iter(items)
+        while True:
+            window = list(itertools.islice(items, BOUNDARY_SORT_WINDOW))
+            if not window:
+                return
+            yield from execute_window(contexts, window)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialExecutor()"
@@ -177,8 +191,10 @@ class ParallelExecutor(Executor):
     Dispatch is **chunked**: ``chunk_size`` specs per future amortize
     queue wakeups and future bookkeeping.  ``chunk_size=None`` adapts to
     the plan: ``max(1, n_items // (workers * 4))``, so tiny plans spread
-    across all workers instead of serializing onto one.  Records stream
-    back per chunk and are yielded in item order, so chunking is
+    across all workers instead of serializing onto one.  A worker
+    executes its chunk as one execution window
+    (:func:`~repro.core.engine.runner.execute_window`).  Records stream
+    back per chunk and are yielded in chunk order, so chunking is
     invisible to every consumer.
 
     Submission is windowed: at most ``workers * IN_FLIGHT_PER_WORKER``

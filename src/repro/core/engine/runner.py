@@ -6,6 +6,18 @@ used to duplicate: arm the hook, mount a fresh file system, execute the
 application, classify against the golden record, fold crashes into the
 outcome taxonomy, and record whether the fault actually fired.
 
+:func:`execute_window` is how every executor runs its items: the serial
+backend a window of :data:`~repro.core.engine.sweep.BOUNDARY_SORT_WINDOW`
+items at a time, a pool worker its chunk, a fleet worker its lease.  It
+executes them in two passes, so that work several runs of the window
+reach can be done once for all of them: in the first pass a replayed
+run may *park* at a step (:class:`~repro.apps.base.Park`), and in the
+second every parked run executes again from scratch, when the step can
+serve all the window's parked inputs at once (a QMCPACK window projects
+its diverged walker sets as one DMC batch).  Records are those of
+:func:`execute_run_spec` alone; only their order within a window
+changes.
+
 :func:`execute_plan` drives a whole :class:`RunPlan` through an
 executor, streaming every finished record into the result sinks (tally,
 JSONL checkpoint) as it completes and skipping run indices already
@@ -16,8 +28,9 @@ sweep-level checkpoints share one on-disk format and one resume path.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.apps.base import HpcApplication, Park, Window
 from repro.core.engine.plan import ExecutionContext, RunPlan, RunSpec
 from repro.core.engine.sink import ResultSink
 from repro.core.outcomes import Outcome, RunRecord
@@ -69,6 +82,59 @@ def execute_run_spec(context: ExecutionContext, spec: RunSpec) -> RunRecord:
     if not record.fault_fired:
         record.detail = (record.detail + " " + context.not_fired_note).strip()
     return record
+
+
+def execute_window(contexts: Dict[str, ExecutionContext],
+                   items: Iterable[Tuple[str, RunSpec]]
+                   ) -> Iterator[Tuple[str, RunRecord]]:
+    """Execute a window of ``(cell key, spec)`` items, each under
+    ``contexts[key]``, and yield one ``(key, record)`` per item.
+
+    Pass 1 executes every item and yields its record, except for a run
+    that parks: its application raised :class:`~repro.apps.base.Park`
+    from a step, having left its input on the application's
+    :class:`~repro.apps.base.Window`.  Pass 2 executes each parked item
+    again from scratch, in item order, with the windows out of their
+    parking pass, and yields its record.  Each application of the window
+    has one :class:`~repro.apps.base.Window`, installed on it
+    (:attr:`~repro.apps.base.HpcApplication.window`) only while one of
+    its runs executes here, and cleared when the window ends, however it
+    ends, so no result outlives its window.  Only parks are caught.
+    """
+    windows: Dict[int, Window] = {}
+    parked: List[Tuple[str, RunSpec]] = []
+    try:
+        for key, spec in items:
+            try:
+                record = _execute_in_window(windows, contexts[key], spec)
+            except Park:
+                parked.append((key, spec))
+                continue
+            yield key, record
+        for window in windows.values():
+            window.parking = False
+        for key, spec in parked:
+            yield key, _execute_in_window(windows, contexts[key], spec)
+    finally:
+        for window in windows.values():
+            window.clear()
+
+
+def _execute_in_window(windows: Dict[int, Window],
+                       context: ExecutionContext, spec: RunSpec) -> RunRecord:
+    """:func:`execute_run_spec` with the window of the context's
+    application installed on it for the run's duration."""
+    app = getattr(context, "app", None)
+    if not isinstance(app, HpcApplication):
+        return execute_run_spec(context, spec)
+    window = windows.get(id(app))
+    if window is None:
+        window = windows[id(app)] = Window()
+    app.window = window
+    try:
+        return execute_run_spec(context, spec)
+    finally:
+        app.window = None
 
 
 def execute_plan(plan: RunPlan, *,

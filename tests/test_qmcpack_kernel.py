@@ -8,7 +8,8 @@ so the fused kernel is checked against the code whose outputs the
 committed fixtures pin: walker bytes and the ``repr`` of every scalar
 row must be equal, and corrupted restarts must fail the same way.  A
 projection that follows a recorded trajectory and stops where it rejoins
-it must equal the reference too.
+it must equal the reference too, and so must each walker set of a batch
+projected together.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.apps.qmcpack.dmc import (
     PopulationCollapse,
     Trajectory,
     run_dmc,
+    run_dmc_batch,
 )
 from repro.apps.qmcpack.scalars import ScalarRow
 from repro.apps.qmcpack.vmc import VmcParams, run_vmc
@@ -550,3 +552,65 @@ def test_trajectory_of_another_walker_count_is_not_followed():
         assert len(wf.calls) == full_calls(params)
         assert got == outcome(reference_run_dmc, REF, walkers, params,
                               dmc_rng())
+
+
+# -- projecting walker sets as one batch ---------------------------------------
+
+
+def batch_outcomes(wf: HeliumWavefunction, walker_sets: List[np.ndarray],
+                   params: DmcParams, **kwargs) -> list:
+    """:func:`outcome` of every set of one batch projection."""
+    with np.errstate(all="ignore"):
+        projections = run_dmc_batch(wf, walker_sets, params, dmc_rng(),
+                                    **kwargs)
+    return [outcome(lambda: projection) if isinstance(projection, tuple)
+            else ("raised", type(projection), str(projection))
+            for projection in projections]
+
+
+#: Every kernel set, plus one duplicate: golden walkers (they rejoin a
+#: golden trajectory at block 0), bit flips, exponent flips, zeroed
+#: spans, and NaN, inf and 1e300 coordinates.
+BATCH_SETS = [walkers for _, walkers in SETS] + [dict(SETS)["flips-2"]]
+
+
+@pytest.mark.parametrize("followed", [False, True],
+                         ids=["unfollowed", "followed"])
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_batch_is_k_separate_projections(k, followed):
+    """Each set of a batch projects to its own run_dmc's walkers and
+    rows, the batch sharing every draw, followed or not."""
+    kwargs = {"follow": record(dict(SETS)["golden"], DMC, dmc_rng())} \
+        if followed else {}
+    with np.errstate(all="ignore"):
+        want = [outcome(partial(run_dmc, **kwargs), WF, walkers, DMC,
+                        dmc_rng())
+                for walkers in BATCH_SETS]
+    for start in range(0, len(BATCH_SETS), k):
+        assert batch_outcomes(WF, BATCH_SETS[start:start + k], DMC,
+                              **kwargs) == want[start:start + k]
+
+
+def test_collapsed_set_leaves_the_batch():
+    """The collapsing two-walker set of
+    test_population_collapse_raises_identically, batched between healthy
+    sets of its walker count: it gets its own collapse back, message and
+    all, and the others project as they would alone."""
+    wf = HeliumWavefunction(zeta=1.0)
+    params = DmcParams(target_walkers=2, n_blocks=14)
+    golden = dict(SETS)["golden"]
+    sets = [golden[2:4], golden[:2] * 0.01, golden[4:6], golden[6:8]]
+    with np.errstate(all="ignore"):
+        want = [outcome(run_dmc, wf, walkers, params, dmc_rng())
+                for walkers in sets]
+    assert want[1][:2] == ("raised", PopulationCollapse)
+    assert [status for status, *_ in want] == ["ok", "raised", "ok", "ok"]
+    assert batch_outcomes(wf, sets, params) == want
+
+
+def test_sets_of_different_walker_counts_never_share_a_batch():
+    golden = dict(SETS)["golden"]
+    with pytest.raises(ValueError, match="one shape"):
+        run_dmc_batch(WF, [golden, golden[:12]], DMC, dmc_rng())
+    with pytest.raises(ValueError, match="one walker set"):
+        run_dmc_batch(WF, [golden, golden], DMC, dmc_rng(), marks=[])

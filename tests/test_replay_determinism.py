@@ -16,24 +16,37 @@ import pytest
 
 import repro.apps.montage.background as montage_background
 import repro.apps.qmcpack.app as qmcpack_app
+import repro.core.engine.runner as runner
 from repro.apps.montage import MontageApplication, SkyConfig
 from repro.apps.nyx import FieldConfig, NyxApplication
 from repro.apps.qmcpack import QmcpackApplication
 from repro.apps.qmcpack.app import CONFIG_FILE, RUN_DIR, WALKER_DATASET
-from repro.apps.qmcpack.dmc import DmcParams
+from repro.apps.qmcpack.dmc import DmcParams, run_dmc
 from repro.apps.qmcpack.vmc import VmcParams
 from repro.apps.qmcpack.wavefunction import HeliumWavefunction
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
-from repro.core.engine import RunSpec, execute_run_spec
+from repro.core.engine import (
+    RunPlan,
+    RunSpec,
+    SweepCell,
+    SweepPlan,
+    execute_run_spec,
+    execute_sweep,
+)
+from repro.core.engine.dist import FleetExecutor
+from repro.core.engine.dist.chaos import ChaosCrash
+from repro.core.engine.runner import execute_window
 from repro.core.metadata_campaign import ByteCorruptionContext, MetadataCampaign
 from repro.core.outcomes import Outcome
+from repro.errors import FFISError
 from repro.fusefs.mount import mount
 from repro.fusefs.vfs import FFISFileSystem
 from repro.mhdf5.api import File
 from repro.mhdf5.fieldmap import FieldClass
 from repro.mfits.io import BLOCK_SIZE
 from repro.mhdf5.reader import Hdf5Reader
+from repro.util.rngstream import RngStream
 
 
 def small_nyx() -> NyxApplication:
@@ -275,6 +288,159 @@ class TestGoldenProjectionReuse:
         golden, _, _ = self.capture(app)
         assert projections[-1] == [None, True, full]
         assert len(golden.replay.memos["dmc"].marks) == params.n_blocks
+
+
+class TestWindowBatching:
+    """Inside an execution window, every replayed QMC run that reaches a
+    live ``dmc_compute`` parks in the first pass and takes its
+    projection from one DMC batch in the second.  Checkpoints must not
+    show it: serial cold, serial replayed, pool, fleet and a resumed
+    checkpoint write the same bytes."""
+
+    #: ``(byte offset, bit)`` flips of the walker-data write: each a
+    #: diverged walker set (``(919, 6)`` rejoins golden at block 8), the
+    #: first one twice.
+    FLIPS = [(100, 4), (919, 6), (8, 3), (333, 7), (500, 1), (100, 4),
+             (42, 0), (777, 5)]
+
+    @pytest.fixture(scope="class")
+    def captured(self):
+        app = small_qmcpack()
+        golden, writes, layout = TestGoldenProjectionReuse.capture(app)
+        data_at = layout.plan.datasets[0].data_address
+        data = next(seqno for seqno, offset, _ in writes if offset == data_at)
+        return app, golden, data
+
+    def sweep(self, captured, replay=None) -> SweepPlan:
+        app, golden, data = captured
+        context = ByteCorruptionContext(app, golden, data)
+        context.replay = replay
+        specs = tuple(RunSpec(run_index=i, target_instance=data,
+                              byte_offset=offset, bit_index=bit)
+                      for i, (offset, bit) in enumerate(self.FLIPS))
+        return SweepPlan(cells=(SweepCell(
+            "walkers", RunPlan(context=context, specs=specs),
+            campaign_id="window-batching"),))
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        """Every projection the app makes: ``("alone", follow)`` per
+        run_dmc call, ``("batch", K)`` per run_dmc_batch call."""
+        log = []
+        alone, batch = qmcpack_app.run_dmc, qmcpack_app.run_dmc_batch
+
+        def logged_alone(*args, **kwargs):
+            log.append(("alone", kwargs.get("follow")))
+            return alone(*args, **kwargs)
+
+        def logged_batch(wf, walker_sets, *args, **kwargs):
+            log.append(("batch", len(walker_sets)))
+            return batch(wf, walker_sets, *args, **kwargs)
+
+        monkeypatch.setattr(qmcpack_app, "run_dmc", logged_alone)
+        monkeypatch.setattr(qmcpack_app, "run_dmc_batch", logged_batch)
+        return log
+
+    def test_window_is_invisible_in_records(self, captured, projections,
+                                            monkeypatch, tmp_path):
+        executions = []
+        real = runner.execute_run_spec
+
+        def counted(context, spec):
+            executions.append(spec.run_index)
+            return real(context, spec)
+
+        monkeypatch.setattr(runner, "execute_run_spec", counted)
+
+        def checkpoint(name, sweep, **knobs):
+            path = str(tmp_path / f"{name}.jsonl")
+            execute_sweep(sweep, results_path=path, **knobs)
+            with open(path, "rb") as f:
+                return f.read()
+
+        n = len(self.FLIPS)
+        cold = checkpoint("cold", self.sweep(captured, replay=False))
+        assert projections == [("alone", None)] * n   # cold never batches
+        assert executions == list(range(n))
+
+        projections.clear()
+        executions.clear()
+        sweep = self.sweep(captured)
+        replayed = checkpoint("serial", sweep)
+        # Every run parked, then took its set's projection from the one
+        # batch of the window's 7 distinct walker sets: none projected
+        # alone.
+        assert projections == [("batch", n - 1)]
+        assert executions == list(range(n)) * 2
+        assert replayed == cold
+
+        assert checkpoint("pool", sweep, workers=2) == cold
+        assert checkpoint("fleet", sweep, executor=FleetExecutor(
+            str(tmp_path / "queue"), workers=2)) == cold
+        cut = tmp_path / "resumed.jsonl"
+        cut.write_bytes(b"".join(cold.splitlines(keepends=True)[:3]))
+        assert checkpoint("resumed", sweep, resume=True) == cold
+
+    @pytest.mark.parametrize("error", [FFISError("misuse"),
+                                       ChaosCrash("killed"),
+                                       KeyboardInterrupt()],
+                             ids=["FFISError", "ChaosCrash",
+                                  "KeyboardInterrupt"])
+    def test_a_raising_window_leaves_no_state(self, captured, error,
+                                              monkeypatch):
+        """A run that raises in the second pass, once the batch is
+        projected, ends the window: the app holds no window, and the
+        window's parked inputs and results are gone."""
+        sweep = self.sweep(captured)
+        app = captured[0]
+        context = sweep.cells[0].plan.context
+        items = [("walkers", spec) for spec in sweep.cells[0].plan.specs]
+        seen = []
+        real = runner.execute_run_spec
+
+        def failing(context, spec):
+            seen.append(context.app.window)
+            if len(seen) == len(items) + 2:
+                assert context.app.window.results
+                raise error
+            return real(context, spec)
+
+        monkeypatch.setattr(runner, "execute_run_spec", failing)
+        with pytest.raises(type(error)):
+            list(execute_window({"walkers": context}, items))
+        window = seen[0]
+        assert all(seen_window is window for seen_window in seen)
+        assert app.window is None
+        assert window.parked == {} and window.results == {}
+
+    def test_parked_sets_project_in_batches_of_one_shape(self, captured,
+                                                         projections):
+        """Parked walker sets of two walker counts project in one batch
+        per count, each as it would alone; a set no projection accepts
+        gets run_dmc's error back."""
+        app, golden, _ = captured
+        trajectory = golden.replay.memos["dmc"]
+        walkers = app._vmc_walkers
+        flipped = walkers.copy()
+        flipped[3, 1, 2] = 7.5
+        sets = [walkers, flipped, walkers[:12], flipped[:12],
+                walkers.reshape(-1, 6)]
+        keys = [(w.dtype.str, w.shape, w.tobytes()) for w in sets]
+        by_key = app._project_parked(
+            {key: (w, trajectory) for key, w in zip(keys, sets)})
+        results = [by_key[key] for key in keys]
+        assert sorted(projections) == [("batch", 2), ("batch", 2)]
+        for w, result in zip(sets[:4], results[:4]):
+            rng = RngStream(app.seed, "qmcpack", "dmc").generator()
+            final, rows = run_dmc(app.wf, w, app.dmc_params, rng)
+            assert result[0].tobytes() == final.tobytes()
+            assert [repr(row) for row in result[1]] == \
+                [repr(row) for row in rows]
+        with pytest.raises(ValueError) as alone:
+            run_dmc(app.wf, sets[4], app.dmc_params,
+                    RngStream(app.seed, "qmcpack", "dmc").generator())
+        assert type(results[4]) is ValueError
+        assert str(results[4]) == str(alone.value)
 
 
 class TestGoldenPlaneFitReuse:

@@ -264,3 +264,46 @@ class TestRebasedSubcommands:
     def test_run_out_rejected_for_knobless_driver(self):
         with pytest.raises(SystemExit):
             run_cli("run", "table4", "--out", "x.jsonl")
+
+
+class TestCampaignStdout:
+    """`repro campaign` prints the Python API's summary line and its
+    Wilson error bars, byte for byte, for both campaign forms."""
+
+    @staticmethod
+    def expected(result):
+        from repro.analysis.stats import campaign_error_bars
+
+        tally = result.tally
+        bars = [f"  {outcome.value:<9} {estimate}"
+                for outcome, estimate in campaign_error_bars(tally).items()
+                if tally.counts[outcome]]
+        assert len(bars) > 1  # more than one outcome, so order is pinned
+        return "\n".join([result.summary()] + bars) + "\n"
+
+    def test_fault_campaign_with_phase_and_scenario(self):
+        from repro.core.campaign import Campaign
+        from repro.core.config import CampaignConfig
+        from repro.study.apps import resolve_app_factory
+
+        code, text = run_cli("campaign", "--app", "nyx", "--model", "DW",
+                             "--runs", "8", "--seed", "4",
+                             "--phase", "checkpoint", "--scenario", "k=2")
+        assert code == 0
+        config = CampaignConfig(fault_model="DW", n_runs=8, seed=4,
+                                phase="checkpoint", scenario="k=2")
+        result = Campaign(resolve_app_factory("nyx")(), config).run()
+        assert text == self.expected(result)
+
+    def test_metadata_campaign_with_stride(self):
+        from repro.core.metadata_campaign import MetadataCampaign
+        from repro.study.apps import resolve_app_factory
+
+        code, text = run_cli("campaign", "--app", "nyx-small",
+                             "--metadata-mode", "random-bit",
+                             "--stride", "256", "--seed", "3")
+        assert code == 0
+        campaign = MetadataCampaign(resolve_app_factory("nyx-small")(),
+                                    seed=3, mode="random-bit")
+        result = campaign.run(byte_stride=256)
+        assert text == self.expected(result)

@@ -51,14 +51,12 @@ _EXPORTS: Dict[str, Tuple[str, str]] = {
     "JsonlSink": ("repro.core.engine", "JsonlSink"),
     "ParallelExecutor": ("repro.core.engine", "ParallelExecutor"),
     "ProfileGoldenCache": ("repro.core.engine", "ProfileGoldenCache"),
-    "ResultSink": ("repro.core.engine", "ResultSink"),
     "RunPlan": ("repro.core.engine", "RunPlan"),
     "RunSpec": ("repro.core.engine", "RunSpec"),
     "SerialExecutor": ("repro.core.engine", "SerialExecutor"),
     "SweepCell": ("repro.core.engine", "SweepCell"),
     "SweepPlan": ("repro.core.engine", "SweepPlan"),
     "SweepResult": ("repro.core.engine", "SweepResult"),
-    "TallySink": ("repro.core.engine", "TallySink"),
     "execute_plan": ("repro.core.engine", "execute_plan"),
     "execute_run_spec": ("repro.core.engine", "execute_run_spec"),
     "execute_sweep": ("repro.core.engine", "execute_sweep"),

@@ -1,9 +1,9 @@
 """The campaign execution engine: plan / execute / stream.
 
 Campaigns *plan* (declarative :class:`RunSpec` lists), executors *run*
-(serially or across processes, identically), sinks *stream* (tally,
-JSONL checkpoint with resume).  See the submodule docstrings for the
-contract each layer owns.
+(serially or across processes, identically), and the sweep *streams*
+their records to one JSONL checkpoint with resume.  See the submodule
+docstrings for the contract each layer owns.
 """
 
 from repro.core.engine.executor import (
@@ -35,8 +35,6 @@ from repro.core.engine.runner import execute_plan, execute_run_spec
 from repro.core.engine.sink import (
     SCHEMA_VERSION,
     JsonlSink,
-    ResultSink,
-    TallySink,
     iter_stamped_records,
     load_records,
     load_records_by_campaign,
@@ -65,7 +63,6 @@ __all__ = [
     "ParallelExecutor",
     "ProfileGoldenCache",
     "ReplayConstraint",
-    "ResultSink",
     "RunPlan",
     "RunSpec",
     "SCHEMA_VERSION",
@@ -73,7 +70,6 @@ __all__ = [
     "SweepCell",
     "SweepPlan",
     "SweepResult",
-    "TallySink",
     "capture_golden",
     "choose_boundary",
     "execute_plan",

@@ -156,10 +156,9 @@ def run_worker(root: str, plan: SweepPlan, worker_id: str, *,
             writer = _SegmentWriter(queue, worker_id, lease.lease_id)
             context = cell.plan.context
             specs = cell.plan.specs[lease.start:lease.stop]
-            # Same replay-locality trick as the fused sweep: runs that
-            # restore the same golden snapshot execute back to back.
-            # Segment order is free -- the merge step rewrites records
-            # in interleaved plan order regardless.
+            # The fused sweep's dispatch order (_boundary_sorted).
+            # Segment order is free: the sweep's reorder buffer emits
+            # records in interleaved plan order regardless.
             window = [(cell.key, spec)
                       for spec in _boundary_sorted(context, specs)]
             for _, record in execute_window({cell.key: context}, window):

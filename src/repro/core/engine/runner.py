@@ -19,20 +19,19 @@ its diverged walker sets as one DMC batch).  Records are those of
 changes.
 
 :func:`execute_plan` drives a whole :class:`RunPlan` through an
-executor, streaming every finished record into the result sinks (tally,
-JSONL checkpoint) as it completes and skipping run indices already
-present in a resumed results file.  It is implemented as a single-cell
+executor, streaming every finished record into the JSONL checkpoint as
+it completes and skipping run indices already present in a resumed
+results file.  It is implemented as a single-cell
 :func:`repro.core.engine.sweep.execute_sweep`, so campaign-level and
 sweep-level checkpoints share one on-disk format and one resume path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.apps.base import HpcApplication, Park, Window
 from repro.core.engine.plan import ExecutionContext, RunPlan, RunSpec
-from repro.core.engine.sink import ResultSink
 from repro.core.outcomes import Outcome, RunRecord
 from repro.errors import FFISError
 from repro.fusefs.mount import mount
@@ -143,9 +142,8 @@ def execute_plan(plan: RunPlan, *,
                  results_path: Optional[str] = None,
                  resume: bool = False,
                  campaign_id: Optional[str] = None,
-                 progress: Optional[Progress] = None,
-                 sinks: Sequence[ResultSink] = ()) -> List[RunRecord]:
-    """Run every spec of *plan*, streaming records through the sinks.
+                 progress: Optional[Progress] = None) -> List[RunRecord]:
+    """Run every spec of *plan*, streaming records to the checkpoint.
 
     * ``workers`` selects the executor (``>1`` forks a process pool).
     * ``results_path`` persists each record as one JSONL line the moment
@@ -165,5 +163,5 @@ def execute_plan(plan: RunPlan, *,
     result = execute_sweep(SweepPlan(cells=(cell,)),
                            workers=workers, chunk_size=chunk_size,
                            results_path=results_path,
-                           resume=resume, progress=progress, sinks=sinks)
+                           resume=resume, progress=progress)
     return result.records[cell.key]

@@ -1,18 +1,17 @@
-"""Streaming result sinks: tally, JSONL persistence, checkpoint/resume.
+"""The JSONL checkpoint: record persistence and resume.
 
-Records leave the executor one at a time; sinks consume them as a
-stream so a million-run campaign never needs its records resident to be
-tabulated or persisted.  The JSONL schema (one record per line, schema
-version stamped on every line) is the stable on-disk contract: a
-checkpointed campaign resumes by reading the completed run indices back
-out of the file and executing only the remainder.
+Records leave the executor one at a time and are appended to the
+checkpoint as a stream, so a million-run campaign never needs its
+records resident to be persisted.  The JSONL schema (one record per
+line, schema version stamped on every line) is the stable on-disk
+contract: a checkpointed campaign resumes by reading the completed run
+indices back out of the file and executing only the remainder.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from abc import ABC, abstractmethod
 from typing import (
     Any,
     Dict,
@@ -23,7 +22,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.outcomes import Outcome, OutcomeTally, RunRecord
+from repro.core.outcomes import Outcome, RunRecord
 from repro.errors import FFISError
 
 #: Bump when a RunRecord field changes meaning; readers reject newer
@@ -147,7 +146,7 @@ def load_records(path: str, campaign_id: Optional[str] = None) -> List[RunRecord
     When *campaign_id* is given, any line stamped with a *different*
     campaign identity is rejected -- resuming run 17 of a BF campaign
     from a DW checkpoint would silently merge unrelated science.
-    Unstamped lines (written by bare sinks) are accepted as-is.
+    Unstamped lines are accepted as-is.
     """
     records: List[RunRecord] = []
     for lineno, stamped, record in iter_stamped_records(path):
@@ -250,28 +249,7 @@ def _trim_partial_tail(path: str) -> None:
         f.truncate(0)
 
 
-class ResultSink(ABC):
-    """Consumer of the executor's record stream."""
-
-    @abstractmethod
-    def emit(self, record: RunRecord) -> None:
-        """Consume one completed record."""
-
-    def close(self) -> None:
-        """Flush/release resources; called exactly once by the engine."""
-
-
-class TallySink(ResultSink):
-    """Streaming outcome tally -- statistics without retaining records."""
-
-    def __init__(self) -> None:
-        self.tally = OutcomeTally()
-
-    def emit(self, record: RunRecord) -> None:
-        self.tally.add_record(record)
-
-
-class JsonlSink(ResultSink):
+class JsonlSink:
     """Appends each record to a JSONL file the moment it completes.
 
     Every line is flushed immediately: the file is the campaign's
@@ -279,16 +257,11 @@ class JsonlSink(ResultSink):
     (the application runs dwarf the write cost).
     """
 
-    def __init__(self, path: str, append: bool = False,
-                 campaign_id: Optional[str] = None) -> None:
+    def __init__(self, path: str, append: bool = False) -> None:
         self.path = path
-        self.campaign_id = campaign_id
         if append:
             _trim_partial_tail(path)
         self._f = open(path, "a" if append else "w", encoding="utf-8")
-
-    def emit(self, record: RunRecord) -> None:
-        self.emit_stamped(record, self.campaign_id)
 
     def emit_stamped(self, record: RunRecord,
                      campaign_id: Optional[str]) -> None:

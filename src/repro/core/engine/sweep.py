@@ -50,7 +50,6 @@ from repro.core.engine.executor import Executor, make_executor
 from repro.core.engine.plan import RunPlan, RunSpec
 from repro.core.engine.sink import (
     JsonlSink,
-    ResultSink,
     format_stamped_line,
     load_records_by_campaign,
     refuse_overwrite,
@@ -214,12 +213,17 @@ BOUNDARY_SORT_WINDOW = 64
 
 
 def _boundary_sorted(context, specs: Sequence[RunSpec]) -> List[RunSpec]:
-    """Specs reordered for replay locality: runs binning to the same
-    golden boundary become consecutive (within a bounded window), so
-    the splicer restores the same snapshot back to back (warm extent
-    tables, warm page cache) instead of ping-ponging across the
-    boundary set.  The sort is stable, so runs sharing a boundary keep
-    their plan order."""
+    """Specs in dispatch order: sorted by replay boundary within each
+    window of :data:`BOUNDARY_SORT_WINDOW` specs.  The sort is stable,
+    so runs sharing a boundary keep their plan order.
+
+    The order decides how runs fall into the executors' execution
+    windows (serial windows, pool chunks; see
+    :func:`~repro.core.engine.runner.execute_window`), and so which
+    parked QMCPACK runs project as one DMC batch.  It buys no cache
+    locality: every run mounts a fresh file system, and a snapshot
+    restore is a copy.  Records, and the order they are emitted in, do
+    not depend on it."""
     from repro.core.engine.replay import replay_boundary
 
     specs = list(specs)
@@ -240,7 +244,7 @@ def _assign_existing(plan: SweepPlan, results_path: str
     Lines stamped with an identity no cell of this sweep owns are
     refused -- resuming would otherwise silently merge unrelated
     science.  Unstamped lines are accepted only when the sweep has a
-    single cell (the legacy bare-sink format); in a multi-cell sweep
+    single cell (the legacy unstamped format); in a multi-cell sweep
     they are ambiguous and refused.
     """
     by_id = {cell.campaign_id: cell.key for cell in plan.cells
@@ -297,7 +301,6 @@ def execute_sweep(plan: SweepPlan, *,
                   results_path: Optional[str] = None,
                   resume: bool = False,
                   progress: Optional[Progress] = None,
-                  sinks: Sequence[ResultSink] = (),
                   executor: Optional[Executor] = None) -> SweepResult:
     """Execute every cell of *plan* through one executor.
 
@@ -314,15 +317,13 @@ def execute_sweep(plan: SweepPlan, *,
       the missing ``(cell, run index)`` pairs; the resumed checkpoint
       is byte-identical to an uninterrupted sweep's.
     * ``progress(completed, total)`` counts runs across the whole sweep.
-    * extra ``sinks`` consume the merged record stream (all cells).
 
-    Dispatch order is a private optimization: within each cell, specs
-    execute in replay-boundary order (consecutive runs restore the same
-    golden snapshot), and a backend may yield them in any order, but
-    records are **emitted** -- to the checkpoint, the sinks, and
-    ``progress`` -- in the cells' interleaved plan order through a
-    reorder buffer, so checkpoints stay byte-identical to the unsorted
-    engine's and kill/resume semantics are unchanged.
+    Dispatch order is private: within each cell, specs are dispatched
+    in replay-boundary order (:func:`_boundary_sorted`), and a backend
+    may yield them in any order, but records are **emitted** -- to the
+    checkpoint and ``progress`` -- in the cells' interleaved plan order
+    through a reorder buffer, so checkpoints stay byte-identical to the
+    unsorted engine's and kill/resume semantics are unchanged.
 
     A backend that loses runs must name each one in its ``report``'s
     ``holes``; an unnamed missing run raises :class:`FFISError`.  The
@@ -378,11 +379,9 @@ def execute_sweep(plan: SweepPlan, *,
         [(cell.key, cell.plan.specs) for cell in plan.cells])]
     gapped = set(order[:len(kept_pairs)]) != kept_pairs
 
-    all_sinks: List[ResultSink] = list(sinks)
     checkpoint: Optional[JsonlSink] = None
     if results_path is not None:
         checkpoint = JsonlSink(results_path, append=had_records)
-        all_sinks.append(checkpoint)
 
     total = len(plan)
     completed = sum(len(records) for records in result.records.values())
@@ -393,8 +392,6 @@ def execute_sweep(plan: SweepPlan, *,
         nonlocal completed
         if checkpoint is not None:
             checkpoint.emit_stamped(record, stamps[key])
-        for sink in sinks:
-            sink.emit(record)
         result.records[key].append(record)
         result.executed += 1
         completed += 1
@@ -402,23 +399,6 @@ def execute_sweep(plan: SweepPlan, *,
             progress(completed, total)
 
     try:
-        if sinks and kept_pairs:
-            # Resumed records are part of this sweep's record stream: a
-            # tally (or any other extra sink) over a resumed sweep must
-            # see the already-completed runs too, or it silently
-            # undercounts every one of them.  They replay in
-            # interleaved plan order -- the order an uninterrupted
-            # sweep would have emitted them -- and only through the
-            # *extra* sinks: the checkpoint already holds their lines.
-            kept_by_pair = {
-                (key, record.run_index): record
-                for key, records in result.records.items()
-                for record in records}
-            for pair in order:
-                record = kept_by_pair.get(pair)
-                if record is not None:
-                    for sink in sinks:
-                        sink.emit(record)
         if any(specs for _, specs in pending):
             # Emission follows the plan order; only the dispatch
             # sequence is boundary-sorted (see docstring).
@@ -437,9 +417,9 @@ def execute_sweep(plan: SweepPlan, *,
                              buffered.pop(emit_order[emitted]))
                         emitted += 1
             finally:
-                # Tear the executor down before closing the sinks so an
-                # interrupted parallel sweep cancels its pending runs
-                # promptly instead of racing a closed checkpoint file.
+                # Tear the executor down before closing the checkpoint
+                # so an interrupted parallel sweep cancels its pending
+                # runs promptly instead of racing a closed file.
                 close = getattr(stream, "close", None)
                 if close is not None:
                     close()
@@ -458,8 +438,8 @@ def execute_sweep(plan: SweepPlan, *,
                     "named none of them as holes; refusing to shrink the "
                     "campaign silently")
     finally:
-        for sink in all_sinks:
-            sink.close()
+        if checkpoint is not None:
+            checkpoint.close()
     result.degradation = report
     if results_path is not None:
         receipt = results_path + ".holes.json"

@@ -33,7 +33,6 @@ from repro.core.engine import (
     RunSpec,
     SweepCell,
     SweepPlan,
-    TallySink,
     execute_sweep,
     iter_stamped_records,
 )
@@ -55,7 +54,7 @@ from repro.core.engine.dist import (
 )
 from repro.core.engine.runner import execute_run_spec
 from repro.core.engine.sink import JsonlSink
-from repro.core.outcomes import Outcome, OutcomeTally, RunRecord
+from repro.core.outcomes import Outcome, RunRecord
 from repro.errors import ConfigError, FFISError
 from repro.study import Study, StudySpec
 from repro.study.spec import ModelSpec, TargetSpec
@@ -502,15 +501,6 @@ class TestDistributedByteIdentity:
         assert filecmp.cmp(serial_path, dist_path, shallow=False)
         assert result.records == serial.records
         assert result.executed == len(plan)
-
-    def test_fleet_sweep_feeds_extra_sinks(self, tmp_path):
-        plan = toy_plan()
-        _, serial = self.serial(tmp_path, plan)
-        tally = TallySink()
-        execute_sweep(plan, sinks=[tally], executor=FleetExecutor(
-            str(tmp_path / "queue"), lease_runs=2, timeout=120.0))
-        assert tally.tally == OutcomeTally.from_records(
-            [r for records in serial.records.values() for r in records])
 
     def test_forked_worker_is_placed_before_it_drains(self, monkeypatch):
         """The fleet's fork target moves the worker to its own CPU, as

@@ -24,8 +24,6 @@ from repro.core.engine import (
     SerialExecutor,
     SweepCell,
     SweepPlan,
-    TallySink,
-    execute_plan,
     load_records,
     make_executor,
     record_from_json,
@@ -401,7 +399,7 @@ class TestCheckpointResume:
         path = str(tmp_path / "results.jsonl")
         sink = JsonlSink(path)   # bare sink: no campaign stamp
         for record in Campaign(tiny_nyx, bf_config).run(n_runs=2).records:
-            sink.emit(record)
+            sink.emit_stamped(record, None)
         sink.close()
         resumed = Campaign(tiny_nyx, bf_config).run(results_path=path,
                                                     resume=True)
@@ -589,31 +587,22 @@ class TestJsonlSchema:
 
 
 class TestSinksAndStreamedTallies:
-    def test_tally_sink_matches_from_records(self, tiny_nyx, bf_config):
-        campaign = Campaign(tiny_nyx, bf_config)
-        sink = TallySink()
-        records = execute_plan(campaign.plan(), sinks=[sink])
-        assert sink.tally == OutcomeTally.from_records(records)
-
     def test_error_bars_accept_streams(self, tiny_nyx, bf_config, tmp_path):
         path = str(tmp_path / "results.jsonl")
         result = Campaign(tiny_nyx, bf_config).run(results_path=path)
         from_tally = campaign_error_bars(result.tally)
         from_records = campaign_error_bars(iter(load_records(path)))
         assert from_tally == from_records
-        sink = TallySink()
-        for record in result.records:
-            sink.emit(record)
-        assert campaign_error_bars(sink) == from_tally
-        assert as_tally(sink) == result.tally
+        assert campaign_error_bars(result) == from_tally
+        assert as_tally(result) == result.tally
 
     def test_jsonl_sink_append_mode(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         first = JsonlSink(path)
-        first.emit(RunRecord(0, Outcome.BENIGN))
+        first.emit_stamped(RunRecord(0, Outcome.BENIGN), None)
         first.close()
         second = JsonlSink(path, append=True)
-        second.emit(RunRecord(1, Outcome.SDC))
+        second.emit_stamped(RunRecord(1, Outcome.SDC), None)
         second.close()
         assert [r.run_index for r in load_records(path)] == [0, 1]
 
@@ -656,7 +645,8 @@ class TestFaultFired:
     def test_roundtrips_through_jsonl(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         sink = JsonlSink(path)
-        sink.emit(RunRecord(0, Outcome.BENIGN, fault_fired=False))
+        sink.emit_stamped(RunRecord(0, Outcome.BENIGN, fault_fired=False),
+                          None)
         sink.close()
         assert load_records(path)[0].fault_fired is False
 

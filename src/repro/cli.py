@@ -58,6 +58,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _uber(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
+    return value
+
+
 def _add_replay_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-replay", action="store_true",
                         help="disable prefix replay: execute every run cold "
@@ -270,11 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
     project.add_argument("--runs", type=int, default=100)
     project.add_argument("--seed", type=int, default=0)
     project.add_argument("--phase", default=None)
-    project.add_argument("--uber", type=float, default=None,
+    project.add_argument("--uber", type=_uber, default=None,
                          help="device uncorrectable bit error rate "
                               "(default: the field-study upper bound 1e-9)")
-    project.add_argument("--nodes", type=int, default=1000)
-    project.add_argument("--runs-per-day", type=float, default=24.0)
+    project.add_argument("--nodes", type=_positive_int, default=1000)
+    project.add_argument("--runs-per-day", type=_non_negative_float,
+                         default=24.0)
     _add_engine_options(project)
     return parser
 
@@ -287,8 +302,6 @@ def _cmd_experiments(out) -> int:
 
 def _cmd_run(args, parser, out) -> int:
     experiment = get_experiment(args.experiment)
-    if args.resume and args.out is None:
-        parser.error("--resume requires --out")
     if args.out is not None and not experiment.study:
         parser.error(f"{experiment.id} runs no campaign sweep; "
                      "--out/--resume do not apply")
@@ -464,8 +477,6 @@ def _cmd_worker(args, parser, out) -> int:
 
 
 def _cmd_sweep(args, parser, out) -> int:
-    if args.resume and args.out is None:
-        parser.error("--resume requires --out")
     from repro.study import Study
 
     spec = _inline_spec(args, parser).with_knobs(
@@ -476,72 +487,31 @@ def _cmd_sweep(args, parser, out) -> int:
     return 0
 
 
-def _run_campaign_study(args, parser):
-    """One instance-targeted campaign through the Study path; returns
-    the classic :class:`CampaignResult` (summary/profile included)."""
-    from repro.study import (
-        ModelSpec,
-        ScenarioSpec,
-        Study,
-        StudySpec,
-        TargetSpec,
-    )
+def _campaign_spec(args, parser):
+    """The one-cell StudySpec of ``campaign`` and ``project``: a fault
+    cell, or a metadata sweep when ``--metadata-mode`` is given."""
+    from repro.study import ModelSpec, ScenarioSpec, StudySpec, TargetSpec
 
     try:
-        spec = StudySpec(
+        if getattr(args, "metadata_mode", None) is not None:
+            return StudySpec(
+                name="campaign",
+                targets=(TargetSpec(app=args.app, kind="metadata",
+                                    mode=args.metadata_mode,
+                                    stride=args.stride),),
+                seed=args.seed)
+        return StudySpec(
             name="campaign",
             targets=(TargetSpec(app=args.app, phase=args.phase),),
             models=(ModelSpec(model=args.model),),
-            scenarios=(ScenarioSpec(scenario=args.scenario or "single"),),
+            scenarios=(ScenarioSpec(
+                scenario=getattr(args, "scenario", None) or "single"),),
             runs=args.runs, seed=args.seed)
     except ConfigError as exc:
         parser.error(str(exc))
-    plan = Study(spec).plan()
-    results = plan.execute(workers=args.workers, results_path=args.out,
-                           resume=args.resume)
-    (result,) = plan.campaign_results(results).values()
-    result.elapsed_seconds = results.elapsed_seconds
-    return result
-
-
-def _print_error_bars(tally, out) -> None:
-    from repro.analysis.stats import campaign_error_bars
-
-    for outcome, estimate in campaign_error_bars(tally).items():
-        if tally.counts[outcome]:
-            print(f"  {outcome.value:<9} {estimate}", file=out)
-
-
-def _run_metadata_campaign(args, parser, out) -> int:
-    from repro.core.metadata_campaign import MetadataCampaignResult
-    from repro.study import Study, StudySpec, TargetSpec
-
-    try:
-        spec = StudySpec(
-            name="campaign",
-            targets=(TargetSpec(app=args.app, kind="metadata",
-                                mode=args.metadata_mode,
-                                stride=args.stride),),
-            seed=args.seed)
-    except ConfigError as exc:
-        parser.error(str(exc))
-    plan = Study(spec).plan()
-    results = plan.execute(workers=args.workers, results_path=args.out,
-                           resume=args.resume)
-    (cell,) = plan.cells
-    result = MetadataCampaignResult(
-        app_name=cell.planner.app.name, mode=cell.planner.mode,
-        records=results.cell(cell.key), metadata=cell.metadata,
-        fieldmap=cell.planner.fieldmap,
-        elapsed_seconds=results.elapsed_seconds)
-    print(result.summary(), file=out)
-    _print_error_bars(result.tally, out)
-    return 0
 
 
 def _cmd_campaign(args, parser, out) -> int:
-    if args.resume and args.out is None:
-        parser.error("--resume requires --out")
     if args.metadata_mode is not None:
         if args.model is not None:
             parser.error("--model and --metadata-mode are mutually exclusive")
@@ -554,22 +524,28 @@ def _cmd_campaign(args, parser, out) -> int:
             parser.error("--scenario applies to --model campaigns")
         if args.stride is None:
             args.stride = 1
-        return _run_metadata_campaign(args, parser, out)
-    if args.model is None:
-        parser.error("one of --model or --metadata-mode is required")
-    if args.stride is not None:
-        parser.error("--stride requires --metadata-mode")
-    if args.runs is None:
-        args.runs = 100
-    result = _run_campaign_study(args, parser)
-    print(result.summary(), file=out)
-    _print_error_bars(result.tally, out)
+    else:
+        if args.model is None:
+            parser.error("one of --model or --metadata-mode is required")
+        if args.stride is not None:
+            parser.error("--stride requires --metadata-mode")
+        if args.runs is None:
+            args.runs = 100
+    from repro.study import Study
+
+    results = Study(_campaign_spec(args, parser)).run(
+        workers=args.workers, results_path=args.out, resume=args.resume)
+    (key,) = results.keys()
+    tally = results.tally(key)
+    print(f"{results.info[key].summary_label()}: {tally} "
+          f"({tally.total} runs)", file=out)
+    for outcome, estimate in results.error_bars(key).items():
+        if tally.counts[outcome]:
+            print(f"  {outcome.value:<9} {estimate}", file=out)
     return 0
 
 
 def _cmd_project(args, parser, out) -> int:
-    if args.resume and args.out is None:
-        parser.error("--resume requires --out")
     from repro.analysis.projection import (
         DeviceModel,
         FIELD_STUDY_UBER_RANGE,
@@ -577,9 +553,12 @@ def _cmd_project(args, parser, out) -> int:
         system_sdc_rate,
     )
     from repro.core.outcomes import Outcome
+    from repro.study import Study
 
-    args.scenario = None
-    result = _run_campaign_study(args, parser)
+    plan = Study(_campaign_spec(args, parser)).plan()
+    results = plan.execute(workers=args.workers, results_path=args.out,
+                           resume=args.resume)
+    (result,) = plan.campaign_results(results).values()
     uber = args.uber if args.uber is not None else FIELD_STUDY_UBER_RANGE[1]
     device = DeviceModel(uber=uber)
     projection = project_run(result, device)
@@ -600,6 +579,10 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command != "study" and getattr(args, "resume", False) \
+            and args.out is None:
+        # A study's spec file may name its own out; the spec checks it.
+        parser.error("--resume requires --out")
     no_replay = getattr(args, "no_replay", False)
     previous = os.environ.get("REPRO_NO_REPLAY")
     if no_replay:

@@ -29,7 +29,7 @@ from repro.core.engine import (
     capture_golden,
     execute_sweep,
 )
-from repro.core.metadata_campaign import MetadataCampaign, MetadataWriteInfo
+from repro.core.metadata_campaign import MetadataCampaign
 from repro.errors import ConfigError
 from repro.fusefs.vfs import FFISFileSystem
 from repro.study.apps import resolve_app_factory
@@ -47,8 +47,6 @@ class CompiledCell:
     spec: CellSpec
     planner: Planner
     cell: SweepCell
-    #: Metadata cells: where the swept write lives (``None`` otherwise).
-    metadata: Optional[MetadataWriteInfo] = None
 
     @property
     def key(self) -> str:
@@ -256,13 +254,12 @@ class Study:
         # The golden capture doubles as the field-map harvest: writers
         # that publish one (mini-HDF5) expose it afterwards, apps
         # without one sweep unannotated.
-        golden = self.cache.golden(
+        self.cache.golden(
             app, self.fs_factory, lambda: capture_golden(app, self.fs_factory))
         write_result = getattr(app, "last_write_result", None)
         campaign.fieldmap = getattr(write_result, "fieldmap", None)
         return CompiledCell(
             spec=cell, planner=campaign,
-            metadata=campaign.site_from_golden(golden),
             cell=campaign.plan_cell(cell.key, self.cache, target.stride,
                                     target.bits))
 

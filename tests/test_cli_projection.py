@@ -119,3 +119,22 @@ class TestCli:
     def test_bad_experiment_rejected(self):
         with pytest.raises(SystemExit):
             self.run_cli("run", "table99")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--nodes", "0"),
+        ("--runs-per-day", "-1"),
+        ("--uber", "2"),
+        ("--uber", "nan"),
+    ])
+    def test_project_rejects_bad_flags_before_running(self, monkeypatch,
+                                                      flag, value):
+        from repro.apps.base import HpcApplication
+
+        def no_capture(self, mp):
+            raise AssertionError("a golden capture ran before the "
+                                 "flags were checked")
+
+        monkeypatch.setattr(HpcApplication, "capture_golden", no_capture)
+        with pytest.raises(SystemExit):
+            self.run_cli("project", "--app", "nyx-small", "--model", "BF",
+                         "--runs", "2", flag, value)
